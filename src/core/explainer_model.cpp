@@ -96,29 +96,56 @@ Matrix ExplainerModel::conditioned(const Matrix& embeddings) const {
   return scaled;
 }
 
-void ExplainerModel::conditioned_into(const Matrix& embeddings,
-                                      Matrix& out) const {
-  out.reshape(embeddings.rows(), embeddings.cols());
-  const double inv_scale = 1.0 / embedding_scale_;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out.data()[i] = embeddings.data()[i] * inv_scale;
-  }
-}
-
-Matrix ExplainerModel::score_nodes(const Matrix& embeddings) {
+Matrix ExplainerModel::score_nodes(const Matrix& embeddings) const {
   Matrix out;
   score_nodes_into(embeddings, out);
   return out;
 }
 
-void ExplainerModel::score_nodes_into(const Matrix& embeddings, Matrix& out) {
+void ExplainerModel::score_nodes_into(const Matrix& embeddings,
+                                      Matrix& out) const {
   if (embeddings.cols() != config_.embedding_dim) {
     throw std::invalid_argument("ExplainerModel::score_nodes: embedding dim mismatch");
   }
-  Workspace::Lease scaled =
-      Workspace::local().acquire(embeddings.rows(), embeddings.cols());
-  conditioned_into(embeddings, scaled.get());
-  scorer_.forward_into(scaled.get(), out);
+  const std::size_t n = embeddings.rows();
+  const std::size_t f = embeddings.cols();
+  const double inv_scale = 1.0 / embedding_scale_;
+  Workspace& workspace = Workspace::local();
+
+  // Row mask: 1.0 for the rows Theta_s runs over. A row is zero when its
+  // conditioned values are all +-0; every zero row past the first is
+  // skipped. first_zero is the first zero row's index among the kept rows.
+  Workspace::Lease mask = workspace.acquire(n, 1);
+  double* const kept = mask.get().data();
+  std::size_t kept_rows = 0;
+  std::size_t first_zero = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* row = embeddings.data() + i * f;
+    bool zero = true;
+    for (std::size_t c = 0; c < f && zero; ++c) zero = row[c] * inv_scale == 0.0;
+    if (zero) {
+      if (first_zero != n) continue;
+      first_zero = kept_rows;
+    }
+    kept[i] = 1.0;
+    ++kept_rows;
+  }
+
+  Workspace::Lease scaled = workspace.acquire(kept_rows, f);
+  for (std::size_t i = 0, k = 0; i < n; ++i) {
+    if (kept[i] == 0.0) continue;
+    const double* row = embeddings.data() + i * f;
+    double* dst = scaled.get().data() + k * f;
+    for (std::size_t c = 0; c < f; ++c) dst[c] = row[c] * inv_scale;
+    ++k;
+  }
+  scorer_.forward_into(scaled.get(), out);  // [kept_rows, 1]
+
+  // Scatter the kept scores back to their rows through the mask buffer.
+  for (std::size_t i = 0, k = 0; i < n; ++i) {
+    kept[i] = kept[i] != 0.0 ? out(k++, 0) : out(first_zero, 0);
+  }
+  out = mask.get();
 }
 
 ExplainerModel ExplainerModel::clone() const {

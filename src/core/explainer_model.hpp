@@ -46,16 +46,18 @@ class ExplainerModel {
 
   // --- Theta_s ---
 
-  // Node scores Psi [N, 1] from embeddings Z [N, f]. Reuses the training
-  // caches of Theta_s, so do not interleave with a pending
-  // joint_forward/joint_backward pair; clone() per thread for parallel use.
-  Matrix score_nodes(const Matrix& embeddings);
+  // Node scores Psi [N, 1] from embeddings Z [N, f]: the inference pass,
+  // const and cache-free. One model may serve concurrent calls from many
+  // threads, and a call between joint_forward() and joint_backward() leaves
+  // the gradients unchanged. Bit-identical to joint_forward(z).scores.
+  Matrix score_nodes(const Matrix& embeddings) const;
 
-  // Destination-passing variant: the conditioned embeddings live in a
-  // Workspace scratch buffer and the scorer ping-pongs through the pool,
-  // so steady-state calls allocate nothing. `out` must not alias
-  // `embeddings`. Bit-identical to score_nodes().
-  void score_nodes_into(const Matrix& embeddings, Matrix& out);
+  // Destination-passing variant; steady-state calls allocate nothing.
+  // Theta_s is row-wise, so it runs only over the non-zero rows of Z plus
+  // the first all-zero row, whose score every other all-zero row (every
+  // node Algorithm 2 has pruned) shares (DESIGN.md decision 17). `out` must
+  // not alias `embeddings`.
+  void score_nodes_into(const Matrix& embeddings, Matrix& out) const;
 
   // --- joint training pass ---
 
@@ -87,7 +89,8 @@ class ExplainerModel {
   void set_embedding_scale(double scale);
   double embedding_scale() const noexcept { return embedding_scale_; }
 
-  // Deep copy (used for per-thread instances in parallel evaluation).
+  // Deep copy: an independent model to train further. Inference needs no
+  // copy; share one const model instead.
   ExplainerModel clone() const;
 
   // Checkpointing (config + weights).
@@ -100,7 +103,6 @@ class ExplainerModel {
   Matrix pool(const Matrix& weighted) const;
 
   Matrix conditioned(const Matrix& embeddings) const;
-  void conditioned_into(const Matrix& embeddings, Matrix& out) const;
 
   ExplainerModelConfig config_;
   double embedding_scale_ = 1.0;

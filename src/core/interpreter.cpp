@@ -1,6 +1,7 @@
 #include "core/interpreter.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -10,6 +11,28 @@
 #include "obs/trace.hpp"
 
 namespace cfgx {
+
+void select_victims(const Matrix& scores, std::size_t n_step,
+                    std::vector<std::uint32_t>& remaining,
+                    std::vector<std::uint32_t>& victims) {
+  const auto key = [&scores](std::uint32_t node) {
+    const double score = scores(node, 0);
+    return std::isnan(score) ? std::numeric_limits<double>::infinity() : score;
+  };
+  victims.assign(remaining.begin(), remaining.end());
+  std::stable_sort(victims.begin(), victims.end(),
+                   [&key](std::uint32_t a, std::uint32_t b) {
+                     return key(a) < key(b);
+                   });
+  victims.resize(std::min(n_step, victims.size()));
+  std::vector<char> is_victim(scores.rows(), 0);
+  for (const std::uint32_t node : victims) is_victim[node] = 1;
+  remaining.erase(std::remove_if(remaining.begin(), remaining.end(),
+                                 [&is_victim](std::uint32_t node) {
+                                   return is_victim[node] != 0;
+                                 }),
+                  remaining.end());
+}
 
 Interpretation Interpreter::interpret(const Acfg& graph,
                                       const InterpretationConfig& config) const {
@@ -40,6 +63,7 @@ Interpretation Interpreter::interpret(const Acfg& graph,
 
   std::vector<std::uint32_t> removal_order;  // V_ordered before the reverse
   removal_order.reserve(n_real);
+  std::vector<std::uint32_t> victims;  // this iteration's, lowest score first
 
   static obs::Counter& iterations_metric =
       obs::MetricsRegistry::global().counter("alg2.iterations");
@@ -86,20 +110,10 @@ Interpretation Interpreter::interpret(const Acfg& graph,
         remaining.size() > target_remaining ? remaining.size() - target_remaining
                                             : 0;
 
-    // Lines 8-18: repeatedly remove the lowest-scoring surviving node.
+    // Lines 8-18: remove the n_step lowest-scoring survivors.
     obs::TraceSpan prune_span("alg2.prune", "explain");
-    for (std::size_t k = 0; k < n_step; ++k) {
-      std::size_t min_pos = 0;
-      double min_score = std::numeric_limits<double>::infinity();
-      for (std::size_t pos = 0; pos < remaining.size(); ++pos) {
-        const double score = scores.get()(remaining[pos], 0);
-        if (score < min_score) {
-          min_score = score;
-          min_pos = pos;
-        }
-      }
-      const std::uint32_t victim = remaining[min_pos];
-      remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(min_pos));
+    select_victims(scores.get(), n_step, remaining, victims);
+    for (const std::uint32_t victim : victims) {
       removal_order.push_back(victim);
       // Lines 17-18 (+ feature zeroing, DESIGN decision 3).
       masked.prune(victim);

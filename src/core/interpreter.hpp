@@ -39,18 +39,29 @@ struct Interpretation {
   unsigned step_size_percent = 10;
 };
 
+// One iteration of Algorithm 2's victim selection (lines 8-16): moves the
+// `n_step` lowest-scoring nodes of `remaining` (ascending ids, as the
+// interpreter keeps it) into `victims`, lowest score first, ties to the
+// lower id. `scores` is indexed by node id. One stable sort by score gives
+// the same victims in the same order as taking the strict minimum n_step
+// times, with a NaN score sorted as +inf (DESIGN.md decision 17).
+void select_victims(const Matrix& scores, std::size_t n_step,
+                    std::vector<std::uint32_t>& remaining,
+                    std::vector<std::uint32_t>& victims);
+
 class Interpreter {
  public:
   // Both references are borrowed; the caller keeps them alive. `model`
-  // must be trained (Algorithm 1) against `gnn`'s embeddings.
-  Interpreter(ExplainerModel& model, const GnnClassifier& gnn)
+  // must be trained (Algorithm 1) against `gnn`'s embeddings. Neither is
+  // mutated, so interpreters on many threads may share one model.
+  Interpreter(const ExplainerModel& model, const GnnClassifier& gnn)
       : model_(&model), gnn_(&gnn) {}
 
   Interpretation interpret(const Acfg& graph,
                            const InterpretationConfig& config = {}) const;
 
  private:
-  ExplainerModel* model_;
+  const ExplainerModel* model_;
   const GnnClassifier* gnn_;
 };
 

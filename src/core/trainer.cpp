@@ -18,8 +18,8 @@ namespace {
 // subgraph is still assigned the GNN's full-graph class. Single-pass scores
 // (no iterative re-scoring) keep this cheap; it tracks the Algorithm-2
 // outcome closely enough for checkpoint selection.
-double validation_retention(ExplainerModel& model, const GnnClassifier& gnn,
-                            const Corpus& corpus,
+double validation_retention(const ExplainerModel& model,
+                            const GnnClassifier& gnn, const Corpus& corpus,
                             const std::vector<std::size_t>& indices,
                             const std::vector<Matrix>& embeddings,
                             const std::vector<std::size_t>& gnn_labels) {

@@ -21,15 +21,25 @@ CfgExplainer::CfgExplainer(const GnnClassifier& gnn,
     : gnn_(&gnn),
       model_([&] {
         Rng rng(init_seed);
-        return ExplainerModel(model_config_for(gnn), rng);
+        return std::make_shared<const ExplainerModel>(model_config_for(gnn),
+                                                      rng);
       }()),
       train_config_(std::move(train_config)),
       interpret_config_(interpret_config) {}
 
+CfgExplainer::CfgExplainer(const GnnClassifier& gnn,
+                           std::shared_ptr<const ExplainerModel> theta,
+                           InterpretationConfig interpret_config)
+    : gnn_(&gnn), interpret_config_(interpret_config) {
+  adopt_model(std::move(theta));
+}
+
 void CfgExplainer::fit(const Corpus& corpus,
                        const std::vector<std::size_t>& train_indices) {
-  train_result_ = train_explainer(model_, *gnn_, corpus, train_indices,
+  auto trained = std::make_shared<ExplainerModel>(model_->clone());
+  train_result_ = train_explainer(*trained, *gnn_, corpus, train_indices,
                                   train_config_);
+  model_ = std::move(trained);
   fitted_ = true;
 }
 
@@ -38,10 +48,16 @@ void CfgExplainer::load_model_file(const std::string& path) {
 }
 
 void CfgExplainer::set_model(ExplainerModel model) {
-  if (model.config().embedding_dim != model_.config().embedding_dim ||
-      model.config().num_classes != model_.config().num_classes) {
+  adopt_model(std::make_shared<const ExplainerModel>(std::move(model)));
+}
+
+void CfgExplainer::adopt_model(std::shared_ptr<const ExplainerModel> model) {
+  const ExplainerModelConfig expected = model_config_for(*gnn_);
+  if (model == nullptr ||
+      model->config().embedding_dim != expected.embedding_dim ||
+      model->config().num_classes != expected.num_classes) {
     throw std::invalid_argument(
-        "CfgExplainer::set_model: model does not match the GNN");
+        "CfgExplainer: Theta is missing or does not match the GNN");
   }
   model_ = std::move(model);
   fitted_ = true;
@@ -57,11 +73,7 @@ Interpretation CfgExplainer::interpret(const Acfg& graph) const {
   if (!fitted_) {
     throw std::logic_error("CfgExplainer::interpret: call fit() first");
   }
-  // Interpreter needs a mutable model (layer caches); interpretation does
-  // not change weights.
-  auto& self = const_cast<CfgExplainer&>(*this);
-  Interpreter interpreter(self.model_, *gnn_);
-  return interpreter.interpret(graph, interpret_config_);
+  return Interpreter(*model_, *gnn_).interpret(graph, interpret_config_);
 }
 
 }  // namespace cfgx

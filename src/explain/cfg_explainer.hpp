@@ -15,14 +15,26 @@ namespace cfgx {
 
 class CfgExplainer : public Explainer {
  public:
-  // `gnn` is borrowed and must outlive the explainer.
+  // `gnn` is borrowed and must outlive the explainer. Theta starts from a
+  // random initialization drawn from `init_seed`; fit() trains it.
   CfgExplainer(const GnnClassifier& gnn, ExplainerTrainConfig train_config = {},
                InterpretationConfig interpret_config = {.keep_adjacency_snapshots = false},
                std::uint64_t init_seed = 99);
 
+  // Adopts an already-trained Theta, shared read-only with every other
+  // holder, and is fitted from the start. No Theta is initialized or
+  // copied: the serving engine's per-worker explainers all point at one
+  // model. Throws std::invalid_argument when `theta` is null or does not
+  // match the GNN's dims.
+  CfgExplainer(const GnnClassifier& gnn,
+               std::shared_ptr<const ExplainerModel> theta,
+               InterpretationConfig interpret_config = {.keep_adjacency_snapshots = false});
+
   std::string name() const override { return "CFGExplainer"; }
 
-  // Runs Algorithm 1 (joint training of Theta_s + Theta_c).
+  // Runs Algorithm 1 (joint training of Theta_s + Theta_c) on a copy of
+  // the current Theta, which then replaces it; other holders of a shared
+  // Theta keep the old one.
   void fit(const Corpus& corpus,
            const std::vector<std::size_t>& train_indices) override;
 
@@ -30,17 +42,17 @@ class CfgExplainer : public Explainer {
   NodeRanking explain(const Acfg& graph) override;
 
   bool fitted() const noexcept { return fitted_; }
-  ExplainerModel& model() { return model_; }
+  // The current Theta; the reference lasts until the next fit(),
+  // set_model() or load_model_file().
+  const ExplainerModel& model() const { return *model_; }
   const ExplainerTrainResult& train_result() const { return train_result_; }
 
   // Checkpointing of the trained Theta (bench artifact cache).
-  void save_model_file(const std::string& path) const { model_.save_file(path); }
+  void save_model_file(const std::string& path) const { model_->save_file(path); }
   void load_model_file(const std::string& path);  // marks the explainer fitted
 
   // In-memory counterpart of load_model_file: adopts an already-trained
-  // Theta and marks the explainer fitted. The serving engine's per-worker
-  // explainer factories clone one trained model this way instead of
-  // re-reading a checkpoint per worker. Validates dims against the GNN.
+  // Theta and marks the explainer fitted. Validates dims against the GNN.
   void set_model(ExplainerModel model);
 
   // Full Algorithm-2 output (subgraph node sets / adjacencies) for callers
@@ -48,8 +60,10 @@ class CfgExplainer : public Explainer {
   Interpretation interpret(const Acfg& graph) const;
 
  private:
+  void adopt_model(std::shared_ptr<const ExplainerModel> model);
+
   const GnnClassifier* gnn_;
-  ExplainerModel model_;
+  std::shared_ptr<const ExplainerModel> model_;  // never null
   ExplainerTrainConfig train_config_;
   InterpretationConfig interpret_config_;
   ExplainerTrainResult train_result_;

@@ -33,13 +33,13 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng,
       bias_(name + ".b", Matrix(1, out_features)) {}
 
 Matrix Dense::forward(const Matrix& input) {
+  cached_input_ = input;  // copy-assign reuses the cache's capacity
   Matrix out;
   forward_into(input, out);
   return out;
 }
 
-void Dense::forward_into(const Matrix& input, Matrix& out) {
-  cached_input_ = input;  // copy-assign reuses the cache's capacity
+void Dense::forward_into(const Matrix& input, Matrix& out) const {
   matmul_into(input, weight_.value, out);
   for (std::size_t r = 0; r < out.rows(); ++r) {
     for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) += bias_.value(0, c);
@@ -55,13 +55,12 @@ Matrix Dense::backward(const Matrix& grad_output) {
 
 Matrix Relu::forward(const Matrix& input) {
   cached_input_ = input;
-  Matrix out = input;
-  out.apply(relu_value);
+  Matrix out;
+  forward_into(input, out);
   return out;
 }
 
-void Relu::forward_into(const Matrix& input, Matrix& out) {
-  cached_input_ = input;
+void Relu::forward_into(const Matrix& input, Matrix& out) const {
   out = input;
   out.apply(relu_value);
 }
@@ -75,16 +74,15 @@ Matrix Relu::backward(const Matrix& grad_output) {
 }
 
 Matrix Sigmoid::forward(const Matrix& input) {
-  Matrix out = input;
-  out.apply(sigmoid_value);
+  Matrix out;
+  forward_into(input, out);
   cached_output_ = out;
   return out;
 }
 
-void Sigmoid::forward_into(const Matrix& input, Matrix& out) {
+void Sigmoid::forward_into(const Matrix& input, Matrix& out) const {
   out = input;
   out.apply(sigmoid_value);
-  cached_output_ = out;
 }
 
 Matrix Sigmoid::backward(const Matrix& grad_output) {
@@ -97,7 +95,14 @@ Matrix Sigmoid::backward(const Matrix& grad_output) {
 }
 
 Matrix SoftmaxRows::forward(const Matrix& input) {
-  Matrix out = input;
+  Matrix out;
+  forward_into(input, out);
+  cached_output_ = out;
+  return out;
+}
+
+void SoftmaxRows::forward_into(const Matrix& input, Matrix& out) const {
+  out = input;
   for (std::size_t r = 0; r < out.rows(); ++r) {
     auto row = out.row(r);
     const double m = *std::max_element(row.begin(), row.end());
@@ -108,8 +113,6 @@ Matrix SoftmaxRows::forward(const Matrix& input) {
     }
     for (double& v : row) v /= denom;
   }
-  cached_output_ = out;
-  return out;
 }
 
 Matrix SoftmaxRows::backward(const Matrix& grad_output) {
@@ -133,7 +136,7 @@ Matrix Sequential::forward(const Matrix& input) {
   return current;
 }
 
-void Sequential::forward_into(const Matrix& input, Matrix& out) {
+void Sequential::forward_into(const Matrix& input, Matrix& out) const {
   if (modules_.empty()) {
     out = input;
     return;

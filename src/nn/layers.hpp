@@ -4,7 +4,10 @@
 // caches whatever backward() needs; backward() consumes dLoss/dOutput and
 // returns dLoss/dInput, accumulating dLoss/dParameter into Parameter::grad.
 // Gradients are *accumulated* (+=) so shared modules can be driven several
-// times per step; call zero_grad() between optimizer steps.
+// times per step; call zero_grad() between optimizer steps. forward_into()
+// is the inference pass: const and cache-free, so one module may serve
+// concurrent inference calls and may run between a forward() and its
+// backward() without disturbing the gradients.
 //
 // The exact gradients here are verified against central finite differences
 // in tests/nn/gradcheck_test.cpp.
@@ -41,14 +44,11 @@ class Module {
   virtual Matrix forward(const Matrix& input) = 0;
   virtual Matrix backward(const Matrix& grad_output) = 0;
 
-  // Destination-passing forward: reshapes `out` (capacity-reusing) and
-  // overwrites it. `out` must not alias `input`. The default delegates to
-  // forward(); hot modules (Dense, Relu, Sigmoid, Sequential) override it
-  // with allocation-free implementations backed by the Workspace pool.
-  // Results are bit-identical to forward() in every override.
-  virtual void forward_into(const Matrix& input, Matrix& out) {
-    out = forward(input);
-  }
+  // Destination-passing inference forward: reshapes `out`
+  // (capacity-reusing) and overwrites it, touching no cache. `out` must not
+  // alias `input`. Allocation-free in steady state (Sequential ping-pongs
+  // through the Workspace pool) and bit-identical to forward().
+  virtual void forward_into(const Matrix& input, Matrix& out) const = 0;
 
   // Trainable parameters (may be empty for activations).
   virtual std::vector<Parameter*> parameters() { return {}; }
@@ -66,7 +66,7 @@ class Dense : public Module {
         std::string name = "dense");
 
   Matrix forward(const Matrix& input) override;
-  void forward_into(const Matrix& input, Matrix& out) override;
+  void forward_into(const Matrix& input, Matrix& out) const override;
   Matrix backward(const Matrix& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
 
@@ -86,7 +86,7 @@ class Dense : public Module {
 class Relu : public Module {
  public:
   Matrix forward(const Matrix& input) override;
-  void forward_into(const Matrix& input, Matrix& out) override;
+  void forward_into(const Matrix& input, Matrix& out) const override;
   Matrix backward(const Matrix& grad_output) override;
 
  private:
@@ -97,7 +97,7 @@ class Relu : public Module {
 class Sigmoid : public Module {
  public:
   Matrix forward(const Matrix& input) override;
-  void forward_into(const Matrix& input, Matrix& out) override;
+  void forward_into(const Matrix& input, Matrix& out) const override;
   Matrix backward(const Matrix& grad_output) override;
 
  private:
@@ -109,6 +109,7 @@ class Sigmoid : public Module {
 class SoftmaxRows : public Module {
  public:
   Matrix forward(const Matrix& input) override;
+  void forward_into(const Matrix& input, Matrix& out) const override;
   Matrix backward(const Matrix& grad_output) override;
 
  private:
@@ -134,7 +135,7 @@ class Sequential : public Module {
   Matrix forward(const Matrix& input) override;
   // Ping-pongs intermediates through Workspace scratch buffers, so a
   // steady-state forward pass allocates nothing.
-  void forward_into(const Matrix& input, Matrix& out) override;
+  void forward_into(const Matrix& input, Matrix& out) const override;
   Matrix backward(const Matrix& grad_output) override;
   std::vector<Parameter*> parameters() override;
 

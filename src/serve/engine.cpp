@@ -527,14 +527,9 @@ void ExplanationEngine::serve_batch(std::vector<Request>& batch) {
 
 ExplainerFactory make_cfg_explainer_factory(const GnnClassifier& gnn,
                                             ExplainerModel theta) {
-  // std::function requires a copyable callable, so the move-only model
-  // lives behind a shared_ptr; every factory call deep-copies it.
-  auto shared = std::make_shared<ExplainerModel>(std::move(theta));
-  return [&gnn, shared] {
-    auto explainer = std::make_unique<CfgExplainer>(gnn);
-    explainer->set_model(shared->clone());
-    return explainer;
-  };
+  // Inference never mutates Theta, so every explainer shares this one.
+  auto shared = std::make_shared<const ExplainerModel>(std::move(theta));
+  return [&gnn, shared] { return std::make_unique<CfgExplainer>(gnn, shared); };
 }
 
 }  // namespace cfgx::serve

@@ -256,9 +256,9 @@ class ExplanationEngine {
 };
 
 // Convenience factory for the common backend: CFGExplainer instances all
-// serving one trained Theta. Each instance gets its own deep copy of the
-// model (explainer state is per-call mutable), so the factory is safe to
-// invoke concurrently from the engine's pool workers.
+// serving one trained Theta. Every instance shares the same immutable model
+// (inference is const and cache-free), so a call copies no weights and the
+// factory is safe to invoke concurrently from the engine's pool workers.
 ExplainerFactory make_cfg_explainer_factory(const GnnClassifier& gnn,
                                             ExplainerModel theta);
 

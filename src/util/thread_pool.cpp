@@ -111,15 +111,16 @@ void ThreadPool::parallel_for(std::size_t count,
     return;
   }
 
-  // One contiguous chunk per worker instead of one queue entry per index:
-  // small per-item bodies are otherwise dominated by packaged_task
-  // allocation and queue-lock traffic.
-  const std::size_t chunk_count = std::min(count, worker_count());
-  const std::size_t chunk = (count + chunk_count - 1) / chunk_count;
+  // At most one contiguous chunk per worker instead of one queue entry per
+  // index: small per-item bodies are otherwise dominated by packaged_task
+  // allocation and queue-lock traffic. Rounding the chunk up can leave
+  // fewer chunks than workers (count 5 on 4 workers: 2+2+1), so the loop
+  // stops at `count` rather than at the worker count.
+  const std::size_t workers = std::min(count, worker_count());
+  const std::size_t chunk = (count + workers - 1) / workers;
   std::vector<std::future<void>> futures;
-  futures.reserve(chunk_count);
-  for (std::size_t c = 0; c < chunk_count; ++c) {
-    const std::size_t begin = c * chunk;
+  futures.reserve(workers);
+  for (std::size_t begin = 0; begin < count; begin += chunk) {
     const std::size_t end = std::min(count, begin + chunk);
     futures.push_back(submit([&fn, begin, end] {
       run_serial(end - begin, [&fn, begin](std::size_t k) { fn(begin + k); });

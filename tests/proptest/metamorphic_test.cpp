@@ -239,7 +239,7 @@ TEST_F(MetamorphicTest, CfgExplainerScoresArePermutationEquivariant) {
         const auto perm = random_permutation(graph.num_nodes(), perm_rng);
         const Acfg permuted = permute_acfg(graph, perm);
 
-        ExplainerModel& model = cfg_explainer_->model();
+        const ExplainerModel& model = cfg_explainer_->model();
         const Matrix scores = model.score_nodes(
             gnn_->embed(graph.dense_adjacency(), graph.features()));
         const Matrix permuted_scores = model.score_nodes(

@@ -44,8 +44,8 @@ ExplainerModelConfig small_theta_config(const GnnConfig& gnn) {
   return config;
 }
 
-// One GNN + one Theta shared by every test; inference is const and the
-// engine factories deep-copy the model, so sharing is safe.
+// One GNN + one Theta shared by every test; inference is const, so sharing
+// is safe.
 class EngineTest : public ::testing::Test {
  protected:
   EngineTest() : rng_(42), gnn_(small_gnn_config(), rng_) {}
@@ -95,6 +95,41 @@ TEST_F(EngineTest, BatchedServingMatchesPerGraphInferenceAndExplanation) {
     EXPECT_EQ(response.prediction.predicted_class, expected.predicted_class);
     EXPECT_EQ(response.prediction.probabilities, expected.probabilities);
     EXPECT_EQ(response.ranking.order, reference.explain(graphs[i]).order);
+  }
+}
+
+// The CFGExplainer factory copies no weights: every explainer it returns
+// reads the same immutable Theta, and batches fanned out over four workers
+// still rank exactly like an offline explainer.
+TEST_F(EngineTest, FactoryExplainersShareOneImmutableTheta) {
+  const ExplainerFactory factory = cfg_factory();
+  const std::unique_ptr<Explainer> first = factory();
+  const std::unique_ptr<Explainer> second = factory();
+  const auto* a = dynamic_cast<const CfgExplainer*>(first.get());
+  const auto* b = dynamic_cast<const CfgExplainer*>(second.get());
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(&a->model(), &b->model());
+  EXPECT_TRUE(a->fitted());
+
+  ServeConfig config;
+  config.max_batch = 8;
+  config.explain_workers = 4;
+  ExplanationEngine engine(gnn_, cfg_factory(), config);
+  std::vector<Acfg> graphs;
+  std::vector<std::future<ExplanationResponse>> futures;
+  for (std::size_t i = 0; i < 24; ++i) {
+    graphs.push_back(corpus_graph(i));
+    futures.push_back(engine.submit(graphs.back()));
+  }
+  CfgExplainer reference(gnn_);
+  reference.set_model(fresh_theta());
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    ExplanationResponse response = futures[i].get();
+    ASSERT_TRUE(response.ok()) << to_string(response.status);
+    EXPECT_EQ(response.ranking.order, reference.explain(graphs[i]).order)
+        << "graph " << i;
   }
 }
 

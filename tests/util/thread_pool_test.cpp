@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -123,6 +125,32 @@ TEST(ThreadPoolTest, ParallelForCountBelowWorkerCount) {
   std::vector<std::atomic<int>> hits(3);
   pool.parallel_for(3, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// Rounding the chunk size up can leave fewer chunks than workers (5 on 4
+// workers is 2+2+1); no chunk may start past the end. Such a chunk's length
+// underflows, so an out-of-range index aborts rather than loop for 2^64
+// calls.
+TEST(ThreadPoolTest, ParallelForVisitsEveryIndexOnceForAnyCountAndWorkers) {
+  for (std::size_t workers = 1; workers <= 8; ++workers) {
+    ThreadPool pool(workers);
+    for (std::size_t count = 1; count <= 64; ++count) {
+      std::vector<std::atomic<int>> hits(count);
+      pool.parallel_for(count, [&](std::size_t i) {
+        if (i >= count) {
+          std::fprintf(stderr, "index %zu of %zu on %zu workers\n", i, count,
+                       workers);
+          std::abort();
+        }
+        hits[i].fetch_add(1);
+      });
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "index " << i << " of " << count << " on " << workers
+            << " workers";
+      }
+    }
+  }
 }
 
 TEST(ThreadPoolTest, ManyTasksDrainOnDestruction) {
