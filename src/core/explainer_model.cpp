@@ -1,11 +1,12 @@
 #include "core/explainer_model.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "nn/serialize.hpp"
-#include "nn/workspace.hpp"
+#include "nn/tiles.hpp"
 
 namespace cfgx {
 namespace {
@@ -110,42 +111,70 @@ void ExplainerModel::score_nodes_into(const Matrix& embeddings,
   const std::size_t n = embeddings.rows();
   const std::size_t f = embeddings.cols();
   const double inv_scale = 1.0 / embedding_scale_;
-  Workspace& workspace = Workspace::local();
+  std::size_t widest = f;
+  for (std::size_t d : config_.scorer_dims) widest = std::max(widest, d);
+  const std::size_t tile = tile_rows(widest);
+  const KernelCall call(Kernel::Matmul);
+  out.reshape(n, 1);
 
-  // Row mask: 1.0 for the rows Theta_s runs over. A row is zero when its
-  // conditioned values are all +-0; every zero row past the first is
-  // skipped. first_zero is the first zero row's index among the kept rows.
-  Workspace::Lease mask = workspace.acquire(n, 1);
-  double* const kept = mask.get().data();
-  std::size_t kept_rows = 0;
-  std::size_t first_zero = n;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* row = embeddings.data() + i * f;
-    bool zero = true;
-    for (std::size_t c = 0; c < f && zero; ++c) zero = row[c] * inv_scale == 0.0;
-    if (zero) {
-      if (first_zero != n) continue;
-      first_zero = kept_rows;
+  // Theta_s on one tile of gathered rows: every Dense layer, its bias and
+  // its activation (ReLU, then Sigmoid after the last) while the tile is
+  // cache-resident; the scores go straight to their rows of `out`.
+  thread_local std::vector<std::size_t> tile_ids;
+  tile_ids.resize(tile);
+  Matrix& x = tile_buffer(0, tile, f);
+  const std::size_t layers = config_.scorer_dims.size();
+  const auto score_tile = [&](std::size_t rows) {
+    const Matrix* in = &x;
+    for (std::size_t l = 0; l < layers; ++l) {
+      // build_mlp: Dense l is module 2l, followed by its activation.
+      const auto& dense = static_cast<const Dense&>(scorer_.module(2 * l));
+      const bool last = l + 1 == layers;
+      Matrix& y = tile_buffer(1 + l % 2, rows, dense.out_features());
+      detail::matmul_rows_dispatch(*in, dense.weight().value, y, 0, rows);
+      const double* bias = dense.bias().value.data();
+      for (std::size_t r = 0; r < rows; ++r) {
+        double* row = y.data() + r * y.cols();
+        for (std::size_t c = 0; c < y.cols(); ++c) {
+          const double v = row[c] + bias[c];
+          row[c] = last ? sigmoid_value(v) : relu_value(v);
+        }
+      }
+      in = &y;
     }
-    kept[i] = 1.0;
-    ++kept_rows;
-  }
+    for (std::size_t r = 0; r < rows; ++r) out(tile_ids[r], 0) = (*in)(r, 0);
+  };
 
-  Workspace::Lease scaled = workspace.acquire(kept_rows, f);
-  for (std::size_t i = 0, k = 0; i < n; ++i) {
-    if (kept[i] == 0.0) continue;
-    const double* row = embeddings.data() + i * f;
-    double* dst = scaled.get().data() + k * f;
-    for (std::size_t c = 0; c < f; ++c) dst[c] = row[c] * inv_scale;
-    ++k;
+  // Kept rows: every row whose conditioned values are not all +-0, plus the
+  // first all-zero row. The other zero rows (every node Algorithm 2 has
+  // pruned) share that row's score (DESIGN.md decision 17).
+  thread_local std::vector<std::size_t> other_zero_rows;
+  other_zero_rows.clear();
+  std::size_t first_zero = n;
+  std::size_t rows = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* src = embeddings.data() + i * f;
+    double* dst = x.data() + rows * f;
+    bool zero = true;
+    for (std::size_t c = 0; c < f; ++c) {
+      dst[c] = src[c] * inv_scale;
+      zero = zero && dst[c] == 0.0;
+    }
+    if (zero) {
+      if (first_zero != n) {
+        other_zero_rows.push_back(i);
+        continue;
+      }
+      first_zero = i;
+    }
+    tile_ids[rows++] = i;
+    if (rows == tile) {
+      score_tile(rows);
+      rows = 0;
+    }
   }
-  scorer_.forward_into(scaled.get(), out);  // [kept_rows, 1]
-
-  // Scatter the kept scores back to their rows through the mask buffer.
-  for (std::size_t i = 0, k = 0; i < n; ++i) {
-    kept[i] = kept[i] != 0.0 ? out(k++, 0) : out(first_zero, 0);
-  }
-  out = mask.get();
+  if (rows > 0) score_tile(rows);
+  for (std::size_t i : other_zero_rows) out(i, 0) = out(first_zero, 0);
 }
 
 ExplainerModel ExplainerModel::clone() const {

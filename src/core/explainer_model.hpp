@@ -55,7 +55,8 @@ class ExplainerModel {
   // Destination-passing variant; steady-state calls allocate nothing.
   // Theta_s is row-wise, so it runs only over the non-zero rows of Z plus
   // the first all-zero row, whose score every other all-zero row (every
-  // node Algorithm 2 has pruned) shares (DESIGN.md decision 17). `out` must
+  // node Algorithm 2 has pruned) shares (DESIGN.md decision 17). The whole
+  // MLP runs on one tile of those rows at a time (decision 18). `out` must
   // not alias `embeddings`.
   void score_nodes_into(const Matrix& embeddings, Matrix& out) const;
 

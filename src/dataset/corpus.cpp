@@ -114,21 +114,21 @@ void FeatureScaler::fit(const Corpus& corpus,
 }
 
 Matrix FeatureScaler::transform(const Matrix& features) const {
-  Matrix out;
-  transform_into(features, out);
-  return out;
-}
-
-void FeatureScaler::transform_into(const Matrix& features, Matrix& out) const {
   if (!fitted()) throw std::logic_error("FeatureScaler::transform before fit");
   if (features.cols() != mean_.size()) {
     throw std::invalid_argument("FeatureScaler::transform: column mismatch");
   }
-  out.reshape(features.rows(), features.cols());
+  Matrix out(features.rows(), features.cols());
   for (std::size_t r = 0; r < out.rows(); ++r) {
-    for (std::size_t c = 0; c < out.cols(); ++c) {
-      out(r, c) = (features(r, c) - mean_[c]) / stddev_[c];
-    }
+    transform_row(features.data() + r * features.cols(),
+                  out.data() + r * out.cols());
+  }
+  return out;
+}
+
+void FeatureScaler::transform_row(const double* raw, double* out) const {
+  for (std::size_t c = 0; c < mean_.size(); ++c) {
+    out[c] = (raw[c] - mean_[c]) / stddev_[c];
   }
 }
 

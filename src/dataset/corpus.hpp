@@ -74,9 +74,9 @@ class FeatureScaler {
   // Returns standardized copy of a raw feature matrix.
   Matrix transform(const Matrix& features) const;
 
-  // Destination-passing variant: reshapes `out` (capacity-reusing) and
-  // writes the standardized features. `out` must not alias `features`.
-  void transform_into(const Matrix& features, Matrix& out) const;
+  // One row of the transform: out[c] = (raw[c] - mean[c]) / stddev[c] for
+  // every fitted column. No checks; the caller guarantees the width.
+  void transform_row(const double* raw, double* out) const;
 
   const std::vector<double>& mean() const noexcept { return mean_; }
   const std::vector<double>& stddev() const noexcept { return stddev_; }

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "graph/ops.hpp"
 #include "nn/loss.hpp"
 #include "nn/serialize.hpp"
+#include "nn/tiles.hpp"
 #include "nn/workspace.hpp"
 
 namespace cfgx {
@@ -106,10 +108,6 @@ Matrix GnnClassifier::readout_input(const Matrix& embeddings,
   return flat;
 }
 
-Matrix GnnClassifier::scaled(const Matrix& raw_features) const {
-  return scaler_.fitted() ? scaler_.transform(raw_features) : raw_features;
-}
-
 Matrix GnnClassifier::pool(const Matrix& embeddings,
                            std::size_t active_count) const {
   // Mean over the ACTIVE nodes: a subgraph's readout is driven by the
@@ -142,33 +140,84 @@ Matrix GnnClassifier::embed(const Matrix& adjacency,
 void GnnClassifier::embed_into(const CsrMatrix& a_hat,
                                const std::vector<double>& inv_sqrt,
                                const Matrix& raw_features, Matrix& out) const {
+  const std::size_t n = raw_features.rows();
+  if (a_hat.rows() != n || a_hat.cols() != n || inv_sqrt.size() != n) {
+    throw std::invalid_argument("GnnClassifier::embed_into: node count mismatch");
+  }
+  if (raw_features.cols() != gcn_layers_.front().in_features() ||
+      (scaler_.fitted() && scaler_.mean().size() != raw_features.cols())) {
+    throw std::invalid_argument("GnnClassifier::embed_into: feature width mismatch");
+  }
+  // Only live rows (inv_sqrt != 0) are computed. A dead row reaches live
+  // rows only through coefficients that are exactly 0.0, against H*W rows
+  // left at the lease's +0.0, so skipping it changes no live bit; its own
+  // embedding row keeps the reshape's +0.0. Pool workers reach the calling
+  // thread's list through `live` (a thread_local named inside the lambdas
+  // would be each worker's own).
+  thread_local std::vector<std::size_t> live_rows;
+  std::vector<std::size_t>& live = live_rows;
+  live.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (inv_sqrt[i] != 0.0) live.push_back(i);
+  }
+  std::size_t widest = raw_features.cols();
+  for (const GcnLayer& layer : gcn_layers_) {
+    widest = std::max(widest, layer.out_features());
+  }
+  const std::size_t tile = tile_rows(widest);
+  const std::size_t tiles = (live.size() + tile - 1) / tile;
+
+  // Pass s builds each tile of live rows from the scaled features (s == 0)
+  // or as layer s-1's aggregate (spmm row of its H*W, + b, clamp), then
+  // writes layer s's combine of the tile into layer s's H*W buffer; the
+  // last pass writes the tile itself into the embeddings.
   Workspace& workspace = Workspace::local();
-  Workspace::Lease ping = workspace.acquire(0, 0);
-  Workspace::Lease pong = workspace.acquire(0, 0);
-  const Matrix* h = &raw_features;
-  if (scaler_.fitted()) {
-    scaler_.transform_into(raw_features, ping.get());
-    h = &ping.get();
-  }
-  Matrix* scratch = &pong.get();
-  Matrix* other = &ping.get();
-  // Skip rows of inactive (pruned/isolated) nodes in every layer: their
-  // final rows are zeroed below anyway, and live rows only see them
-  // through exact-zero adjacency coefficients, so the skip is invisible.
-  const double* row_live = inv_sqrt.data();
-  for (std::size_t i = 0; i < gcn_layers_.size(); ++i) {
-    Matrix& dst = (i + 1 == gcn_layers_.size()) ? out : *scratch;
-    gcn_layers_[i].infer_into(a_hat, *h, dst, kernel_pool_, row_live);
-    h = &dst;
-    std::swap(scratch, other);
-  }
-  if (gcn_layers_.empty()) out = *h;
-  // Inactive nodes would otherwise carry the bias constant ReLU(b) through
-  // the stack; zero them so "pruned == padded == absent" holds exactly.
-  for (std::size_t i = 0; i < out.rows(); ++i) {
-    if (inv_sqrt[i] == 0.0) {
-      for (std::size_t c = 0; c < out.cols(); ++c) out(i, c) = 0.0;
+  std::optional<Workspace::Lease> hw;
+  out.reshape(n, gcn_layers_.back().out_features());
+  for (std::size_t s = 0; s <= gcn_layers_.size(); ++s) {
+    const GcnLayer* aggregated = s > 0 ? &gcn_layers_[s - 1] : nullptr;
+    const GcnLayer* combined = s < gcn_layers_.size() ? &gcn_layers_[s] : nullptr;
+    std::optional<Workspace::Lease> next_hw;
+    if (combined != nullptr) {
+      next_hw.emplace(workspace.acquire(n, combined->out_features()));
     }
+    Matrix& dst = combined != nullptr ? next_hw->get() : out;
+    const KernelCall call(aggregated != nullptr ? Kernel::Spmm
+                          : precision_ == Precision::Bf16 ? Kernel::MatmulBf16
+                                                          : Kernel::Matmul);
+    const auto run_tile = [&](std::size_t first, std::size_t rows) {
+      Matrix& h = tile_buffer(0, rows,
+                              aggregated != nullptr ? aggregated->out_features()
+                                                    : raw_features.cols());
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::size_t i = live[first + r];
+        double* row = h.data() + r * h.cols();
+        if (aggregated != nullptr) {
+          detail::spmm_row_dispatch(a_hat, i, hw->get(), row);
+          aggregated->finish_row(row);
+        } else if (scaler_.fitted()) {
+          scaler_.transform_row(raw_features.data() + i * h.cols(), row);
+        } else {
+          std::copy_n(raw_features.data() + i * h.cols(), h.cols(), row);
+        }
+      }
+      const Matrix* result = &h;
+      if (combined != nullptr) {
+        Matrix& product = tile_buffer(1, rows, dst.cols());
+        combined->combine_rows(h, product, rows);
+        result = &product;
+      }
+      for (std::size_t r = 0; r < rows; ++r) {
+        std::copy_n(result->data() + r * dst.cols(), dst.cols(),
+                    dst.data() + live[first + r] * dst.cols());
+      }
+    };
+    parallel_ranges(kernel_pool_, tiles, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t t = begin; t < end; ++t) {
+        run_tile(t * tile, std::min(tile, live.size() - t * tile));
+      }
+    });
+    if (next_hw) hw = std::move(next_hw);
   }
 }
 
@@ -241,7 +290,7 @@ Matrix GnnClassifier::forward_cached(const Matrix& adjacency,
     }
   }
 
-  Matrix h = scaled(raw_features);
+  Matrix h = scaler_.fitted() ? scaler_.transform(raw_features) : raw_features;
   for (GcnLayer& layer : gcn_layers_) {
     h = layer.forward(cached_a_hat_, h, kernel_pool_);
   }

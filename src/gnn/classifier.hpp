@@ -63,8 +63,8 @@ class GnnClassifier {
   const GnnConfig& config() const noexcept { return config_; }
 
   // Optional thread pool for the sparse/dense kernels inside embed() and
-  // the cached training path. Row-partitioned work keeps results identical
-  // to the serial run. Not owned; not copied by clone()/save(). The pool
+  // the cached training path; embed_into splits each pass's tiles across
+  // it. Row-partitioned work keeps results identical to the serial run. Not owned; not copied by clone()/save(). The pool
   // may be the same one driving explain_batch — a reentrant parallel_for
   // from a worker runs inline.
   void set_kernel_pool(ThreadPool* pool) noexcept { kernel_pool_ = pool; }
@@ -92,10 +92,13 @@ class GnnClassifier {
 
   // Destination-passing embed for callers that already hold the normalized
   // CSR adjacency and its d^{-1/2} vector (the incremental Algorithm-2
-  // masking path rebuilds neither per iteration). Intermediates ping-pong
-  // through Workspace scratch, so steady-state calls allocate nothing.
-  // `out` must not alias `raw_features`. Bit-identical to embed() given the
-  // same A_hat / inv_sqrt.
+  // masking path rebuilds neither per iteration). Computes live rows only
+  // (inv_sqrt != 0): one combine of the first layer over the gathered,
+  // scaled live rows, then one fused pass per layer over tiles of them
+  // (aggregate, + b, clamp, next layer's combine; DESIGN.md decision 18).
+  // Dead rows of `out` are +0.0. Steady-state calls allocate nothing.
+  // `out` must not alias `raw_features`. Throws std::invalid_argument on a
+  // node-count or feature-width mismatch.
   void embed_into(const CsrMatrix& a_hat, const std::vector<double>& inv_sqrt,
                   const Matrix& raw_features, Matrix& out) const;
 
@@ -148,7 +151,6 @@ class GnnClassifier {
  private:
   GnnClassifier() = default;  // for load()/clone()
 
-  Matrix scaled(const Matrix& raw_features) const;
   Matrix pool(const Matrix& embeddings, std::size_t active_count) const;
   // SortPool selection: active node indices ordered by descending embedding
   // row sum (ties by index), truncated to sortpool_k.

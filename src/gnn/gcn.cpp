@@ -1,5 +1,8 @@
 #include "gnn/gcn.hpp"
 
+#include <bit>
+#include <cstdint>
+
 #include "nn/workspace.hpp"
 #include "util/thread_pool.hpp"
 
@@ -17,11 +20,19 @@ Matrix add_bias_rows(Matrix m, const Matrix& bias) {
   return m;
 }
 
-// Note: clamps strictly negative values only — keeps -0.0 and NaN as-is,
-// unlike std::max(0.0, x). The layer tests pin this behaviour.
+// The GCN clamp x < 0 -> +0.0. It clamps strictly negative values only and
+// keeps -0.0 and NaN as-is, unlike std::max(0.0, x); the layer tests and
+// the fused oracle pin this. Written as a bit mask: the signs of GCN
+// pre-activations are close to random, so a branch would mispredict about
+// every other element.
+double clamp_negative(double x) {
+  const std::uint64_t negative = x < 0.0 ? ~std::uint64_t{0} : 0;
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) & ~negative);
+}
+
 void relu_inplace(Matrix& m) {
   for (std::size_t i = 0; i < m.size(); ++i) {
-    if (m.data()[i] < 0.0) m.data()[i] = 0.0;
+    m.data()[i] = clamp_negative(m.data()[i]);
   }
 }
 
@@ -57,26 +68,33 @@ Matrix GcnLayer::infer(const CsrMatrix& a_hat, const Matrix& h,
 }
 
 void GcnLayer::infer_into(const CsrMatrix& a_hat, const Matrix& h, Matrix& out,
-                          ThreadPool* pool, const double* row_live) const {
+                          ThreadPool* pool) const {
   Workspace::Lease hw = Workspace::local().acquire(h.rows(), out_features());
   if (precision_ == Precision::Bf16) {
-    matmul_bf16_live_rows_into(h, weight_bf16_, hw.get(), row_live);
+    matmul_bf16_into(h, weight_bf16_, hw.get());
   } else {
-    matmul_live_rows_into(h, weight_.value, hw.get(), row_live);
+    matmul_into(h, weight_.value, hw.get());
   }
-  spmm_live_rows_into(a_hat, hw.get(), out, row_live, pool);
-  if (row_live == nullptr) {
-    add_bias_rows_inplace(out, bias_.value);
-    relu_inplace(out);
-    return;
-  }
+  spmm_into(a_hat, hw.get(), out, pool);
   for (std::size_t r = 0; r < out.rows(); ++r) {
-    if (row_live[r] == 0.0) continue;  // masked rows stay exactly zero
-    double* row = out.data() + r * out.cols();
-    for (std::size_t c = 0; c < out.cols(); ++c) {
-      row[c] += bias_.value(0, c);
-      if (row[c] < 0.0) row[c] = 0.0;  // same clamp as relu_inplace
-    }
+    finish_row(out.data() + r * out.cols());
+  }
+}
+
+void GcnLayer::combine_rows(const Matrix& h, Matrix& out,
+                            std::size_t rows) const {
+  if (precision_ == Precision::Bf16) {
+    detail::matmul_bf16_rows_dispatch(h, weight_bf16_, out, 0, rows);
+  } else {
+    detail::matmul_rows_dispatch(h, weight_.value, out, 0, rows);
+  }
+}
+
+void GcnLayer::finish_row(double* row) const {
+  const double* bias = bias_.value.data();
+  const std::size_t cols = out_features();
+  for (std::size_t c = 0; c < cols; ++c) {
+    row[c] = clamp_negative(row[c] + bias[c]);
   }
 }
 

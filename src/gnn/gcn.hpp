@@ -55,15 +55,19 @@ class GcnLayer {
   // (reshaped, capacity-reusing) with the H*W intermediate held in a
   // Workspace scratch buffer — zero allocations in steady state. `out`
   // must not alias `h`. Bit-identical to the value-returning overloads.
-  //
-  // `row_live` (optional, length = rows) skips every row i with
-  // row_live[i] == 0.0 — the row stays exactly zero instead of carrying
-  // ReLU(b). Live rows are unaffected: a masked node's values only reach
-  // them through adjacency coefficients that are exactly 0.0, and an
-  // accumulator seeded at +0.0 is unchanged by +/-0.0 terms.
   void infer_into(const CsrMatrix& a_hat, const Matrix& h, Matrix& out,
-                  ThreadPool* pool = nullptr,
-                  const double* row_live = nullptr) const;
+                  ThreadPool* pool = nullptr) const;
+
+  // The two per-row stages, for callers that run the layer a tile of rows
+  // at a time (GnnClassifier::embed_into):
+  //   combine_rows: rows [0, rows) of `out` (zero-filled, out_features()
+  //     columns) become those rows of h * W, in this layer's precision, on
+  //     the same row kernels as infer_into.
+  //   finish_row: one aggregated row (A_hat H W)_i gets + b and the GCN
+  //     clamp x < 0 -> 0, which keeps -0.0 and NaN (unlike the Theta_s
+  //     ReLU, which maps both to +0.0).
+  void combine_rows(const Matrix& h, Matrix& out, std::size_t rows) const;
+  void finish_row(double* row) const;
 
   // Cached training forward. The CSR overload caches the sparse adjacency
   // so backward() runs the sparse kernels too.

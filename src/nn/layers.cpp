@@ -3,21 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/workspace.hpp"
 
 namespace cfgx {
-namespace {
-
-inline double relu_value(double x) { return x > 0.0 ? x : 0.0; }
-
-inline double sigmoid_value(double x) {
-  // Numerically stable in both tails.
-  return x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
-                  : std::exp(x) / (1.0 + std::exp(x));
-}
-
-}  // namespace
-
 Matrix glorot_uniform(std::size_t fan_in, std::size_t fan_out, Rng& rng) {
   const double limit = std::sqrt(6.0 / static_cast<double>(fan_in + fan_out));
   Matrix out(fan_in, fan_out);
@@ -134,31 +121,6 @@ Matrix Sequential::forward(const Matrix& input) {
   Matrix current = input;
   for (auto& module : modules_) current = module->forward(current);
   return current;
-}
-
-void Sequential::forward_into(const Matrix& input, Matrix& out) const {
-  if (modules_.empty()) {
-    out = input;
-    return;
-  }
-  if (modules_.size() == 1) {
-    modules_.front()->forward_into(input, out);
-    return;
-  }
-  // Ping-pong between two workspace buffers; the last module writes
-  // straight into `out`, so no final copy is needed.
-  Workspace& workspace = Workspace::local();
-  Workspace::Lease ping = workspace.acquire(0, 0);
-  Workspace::Lease pong = workspace.acquire(0, 0);
-  const Matrix* current = &input;
-  Matrix* scratch = &ping.get();
-  Matrix* other = &pong.get();
-  for (std::size_t i = 0; i < modules_.size(); ++i) {
-    Matrix& dst = (i + 1 == modules_.size()) ? out : *scratch;
-    modules_[i]->forward_into(*current, dst);
-    current = &dst;
-    std::swap(scratch, other);
-  }
 }
 
 Matrix Sequential::backward(const Matrix& grad_output) {

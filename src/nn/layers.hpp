@@ -4,15 +4,19 @@
 // caches whatever backward() needs; backward() consumes dLoss/dOutput and
 // returns dLoss/dInput, accumulating dLoss/dParameter into Parameter::grad.
 // Gradients are *accumulated* (+=) so shared modules can be driven several
-// times per step; call zero_grad() between optimizer steps. forward_into()
-// is the inference pass: const and cache-free, so one module may serve
-// concurrent inference calls and may run between a forward() and its
-// backward() without disturbing the gradients.
+// times per step; call zero_grad() between optimizer steps. Each leaf
+// module's forward_into() is its inference pass: const and cache-free, so
+// one module may serve concurrent inference calls and may run between a
+// forward() and its backward() without disturbing the gradients. (Theta_s
+// inference runs the Dense layers a tile at a time instead; see
+// ExplainerModel::score_nodes_into.)
 //
 // The exact gradients here are verified against central finite differences
 // in tests/nn/gradcheck_test.cpp.
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -44,12 +48,6 @@ class Module {
   virtual Matrix forward(const Matrix& input) = 0;
   virtual Matrix backward(const Matrix& grad_output) = 0;
 
-  // Destination-passing inference forward: reshapes `out`
-  // (capacity-reusing) and overwrites it, touching no cache. `out` must not
-  // alias `input`. Allocation-free in steady state (Sequential ping-pongs
-  // through the Workspace pool) and bit-identical to forward().
-  virtual void forward_into(const Matrix& input, Matrix& out) const = 0;
-
   // Trainable parameters (may be empty for activations).
   virtual std::vector<Parameter*> parameters() { return {}; }
 
@@ -66,7 +64,9 @@ class Dense : public Module {
         std::string name = "dense");
 
   Matrix forward(const Matrix& input) override;
-  void forward_into(const Matrix& input, Matrix& out) const override;
+  // Cache-free inference: reshapes `out` (capacity-reusing) and
+  // overwrites it; `out` must not alias `input`. forward() runs it.
+  void forward_into(const Matrix& input, Matrix& out) const;
   Matrix backward(const Matrix& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
 
@@ -75,6 +75,8 @@ class Dense : public Module {
 
   Parameter& weight() { return weight_; }
   Parameter& bias() { return bias_; }
+  const Parameter& weight() const { return weight_; }
+  const Parameter& bias() const { return bias_; }
 
  private:
   Parameter weight_;
@@ -82,11 +84,26 @@ class Dense : public Module {
   Matrix cached_input_;
 };
 
+// The activations Relu and Sigmoid (and the tiled Theta_s pass) apply.
+// relu_value is x > 0 ? x : +0.0, so it maps -0.0 and NaN to +0.0, unlike
+// the GCN clamp (GcnLayer::finish_row). The bit mask avoids a branch on the
+// sign, which would mispredict about every other element.
+inline double relu_value(double x) {
+  const std::uint64_t positive = x > 0.0 ? ~std::uint64_t{0} : 0;
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) & positive);
+}
+
+inline double sigmoid_value(double x) {
+  // Numerically stable in both tails.
+  return x >= 0.0 ? 1.0 / (1.0 + std::exp(-x))
+                  : std::exp(x) / (1.0 + std::exp(x));
+}
+
 // Elementwise max(0, x).
 class Relu : public Module {
  public:
   Matrix forward(const Matrix& input) override;
-  void forward_into(const Matrix& input, Matrix& out) const override;
+  void forward_into(const Matrix& input, Matrix& out) const;
   Matrix backward(const Matrix& grad_output) override;
 
  private:
@@ -97,7 +114,7 @@ class Relu : public Module {
 class Sigmoid : public Module {
  public:
   Matrix forward(const Matrix& input) override;
-  void forward_into(const Matrix& input, Matrix& out) const override;
+  void forward_into(const Matrix& input, Matrix& out) const;
   Matrix backward(const Matrix& grad_output) override;
 
  private:
@@ -109,7 +126,7 @@ class Sigmoid : public Module {
 class SoftmaxRows : public Module {
  public:
   Matrix forward(const Matrix& input) override;
-  void forward_into(const Matrix& input, Matrix& out) const override;
+  void forward_into(const Matrix& input, Matrix& out) const;
   Matrix backward(const Matrix& grad_output) override;
 
  private:
@@ -133,14 +150,12 @@ class Sequential : public Module {
   }
 
   Matrix forward(const Matrix& input) override;
-  // Ping-pongs intermediates through Workspace scratch buffers, so a
-  // steady-state forward pass allocates nothing.
-  void forward_into(const Matrix& input, Matrix& out) const override;
   Matrix backward(const Matrix& grad_output) override;
   std::vector<Parameter*> parameters() override;
 
   std::size_t module_count() const { return modules_.size(); }
   Module& module(std::size_t i) { return *modules_.at(i); }
+  const Module& module(std::size_t i) const { return *modules_.at(i); }
 
  private:
   std::vector<std::unique_ptr<Module>> modules_;

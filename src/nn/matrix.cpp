@@ -6,21 +6,11 @@
 #include <sstream>
 
 #include "nn/simd.hpp"
+#include "nn/tiles.hpp"
 #include "obs/metrics.hpp"
 
 namespace cfgx {
 namespace {
-
-// Per-ISA attribution for the dense matmul entry points: the aggregate
-// kernel.matmul.calls counter stays (dashboards depend on it), and the
-// .scalar/.avx2 split records which code path served the call.
-obs::Counter& matmul_isa_counter(simd::Isa isa) {
-  static obs::Counter& scalar =
-      obs::MetricsRegistry::global().counter("kernel.matmul.calls.scalar");
-  static obs::Counter& avx2 =
-      obs::MetricsRegistry::global().counter("kernel.matmul.calls.avx2");
-  return isa == simd::Isa::Avx2 ? avx2 : scalar;
-}
 
 [[noreturn]] void throw_shape(const char* op, const Matrix& a, const Matrix& b) {
   throw std::invalid_argument(std::string("Matrix ") + op + ": shape mismatch [" +
@@ -233,8 +223,8 @@ inline void tile_one_row(const double* a_row, const double* b_data,
   }
 }
 
-}  // namespace
-
+// Rows [row_begin, row_end) of out += A * B with a 2-row register tile
+// over KC x NC panels of B; the scalar side of matmul_rows_dispatch.
 void matmul_block_rows(const Matrix& a, const Matrix& b, Matrix& out,
                        std::size_t row_begin, std::size_t row_end) {
   const std::size_t n_cols = b.cols();
@@ -258,6 +248,8 @@ void matmul_block_rows(const Matrix& a, const Matrix& b, Matrix& out,
   }
 }
 
+}  // namespace
+
 void matmul_rows_dispatch(const Matrix& a, const Matrix& b, Matrix& out,
                           std::size_t row_begin, std::size_t row_end) {
   if (simd::dispatch() == simd::Isa::Avx2) {
@@ -272,13 +264,7 @@ void matmul_rows_dispatch(const Matrix& a, const Matrix& b, Matrix& out,
 
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
   if (a.cols() != b.rows()) throw_shape("matmul", a, b);
-  static obs::Counter& calls =
-      obs::MetricsRegistry::global().counter("kernel.matmul.calls");
-  static obs::Histogram& seconds =
-      obs::MetricsRegistry::global().histogram("kernel.matmul.seconds");
-  calls.add();
-  matmul_isa_counter(simd::dispatch()).add();
-  obs::ScopedDurationTimer timer(seconds);
+  const KernelCall call(Kernel::Matmul);
   out.reshape(a.rows(), b.cols());
   detail::matmul_rows_dispatch(a, b, out, 0, a.rows());
 }
@@ -287,36 +273,6 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   Matrix out;
   matmul_into(a, b, out);
   return out;
-}
-
-void matmul_live_rows_into(const Matrix& a, const Matrix& b, Matrix& out,
-                           const double* row_live) {
-  if (row_live == nullptr) {
-    matmul_into(a, b, out);
-    return;
-  }
-  if (a.cols() != b.rows()) throw_shape("matmul", a, b);
-  static obs::Counter& calls =
-      obs::MetricsRegistry::global().counter("kernel.matmul.calls");
-  static obs::Histogram& seconds =
-      obs::MetricsRegistry::global().histogram("kernel.matmul.seconds");
-  calls.add();
-  matmul_isa_counter(simd::dispatch()).add();
-  obs::ScopedDurationTimer timer(seconds);
-  out.reshape(a.rows(), b.cols());
-  // Run the dispatched kernel over maximal contiguous runs of live rows;
-  // the reshape above already left every masked row at exact zero.
-  std::size_t i = 0;
-  while (i < a.rows()) {
-    if (row_live[i] == 0.0) {
-      ++i;
-      continue;
-    }
-    std::size_t end = i + 1;
-    while (end < a.rows() && row_live[end] != 0.0) ++end;
-    detail::matmul_rows_dispatch(a, b, out, i, end);
-    i = end;
-  }
 }
 
 void matmul_transpose_a_into(const Matrix& a, const Matrix& b, Matrix& out) {

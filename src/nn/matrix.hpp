@@ -180,13 +180,6 @@ class Matrix {
 // C = A * B. Throws std::invalid_argument on inner-dimension mismatch.
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
 Matrix matmul(const Matrix& a, const Matrix& b);
-// Row-masked C = A * B: computes only rows i with row_live[i] != 0.0 (the
-// reshape leaves masked rows at exact zero); nullptr degrades to
-// matmul_into. Live rows are bit-identical to matmul_into — Algorithm 2
-// uses this to skip rows of pruned nodes, whose values only ever reach
-// surviving rows through exact-zero adjacency coefficients.
-void matmul_live_rows_into(const Matrix& a, const Matrix& b, Matrix& out,
-                           const double* row_live);
 // C = A^T * B without materializing A^T.
 void matmul_transpose_a_into(const Matrix& a, const Matrix& b, Matrix& out);
 Matrix matmul_transpose_a(const Matrix& a, const Matrix& b);
@@ -196,24 +189,20 @@ Matrix matmul_transpose_b(const Matrix& a, const Matrix& b);
 
 namespace detail {
 
-// Cache-blocked (tiled) dense microkernel computing rows [row_begin,
-// row_end) of out += A * B with a 2-row register tile and a 4-wide unrolled
-// innermost loop. Shared by the serial matmul_into and the row-partitioned
-// matmul_parallel. `out` rows must be zeroed on entry.
-void matmul_block_rows(const Matrix& a, const Matrix& b, Matrix& out,
-                       std::size_t row_begin, std::size_t row_end);
-
 // The naive i-k-j reference loop (the pre-blocking kernel), kept as the
 // IEEE-faithful oracle for the differential tests and the blocked-vs-naive
-// micro benches. Bit-identical to matmul_block_rows by construction.
+// micro benches. Bit-identical to the scalar blocked kernel by construction.
 void matmul_reference_rows(const Matrix& a, const Matrix& b, Matrix& out,
                            std::size_t row_begin, std::size_t row_end);
 
-// ISA-dispatched row kernel: the AVX2+FMA kernel when simd::dispatch()
-// selects it, else matmul_block_rows. Under AVX2 each element differs from
+// ISA-dispatched row kernel computing rows [row_begin, row_end) of
+// out += A * B (`out` rows zeroed on entry): the AVX2+FMA kernel when
+// simd::dispatch() selects it, else the cache-blocked scalar kernel. Under AVX2 each element differs from
 // the scalar result only by FMA contraction (bound documented in
 // simd.hpp); within one ISA it is deterministic and shared by matmul_into,
-// matmul_live_rows_into and matmul_parallel.
+// matmul_parallel and the fused inference tiles (nn/tiles.hpp). Every
+// element of a row depends only on that row of A, so any split of a row
+// range gives the same bits.
 void matmul_rows_dispatch(const Matrix& a, const Matrix& b, Matrix& out,
                           std::size_t row_begin, std::size_t row_end);
 

@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "nn/simd.hpp"
-#include "obs/metrics.hpp"
+#include "nn/tiles.hpp"
 
 namespace cfgx {
 namespace {
@@ -32,17 +32,6 @@ void matmul_bf16_rows_scalar(const double* a, std::size_t a_cols,
   }
 }
 
-void matmul_bf16_rows_dispatch(const Matrix& a, const Matrix16& w, Matrix& out,
-                               std::size_t row_begin, std::size_t row_end) {
-  if (simd::dispatch() == simd::Isa::Avx2) {
-    detail::matmul_bf16_rows_avx2(a.data(), a.cols(), w.data(), w.cols(),
-                                  out.data(), row_begin, row_end);
-  } else {
-    matmul_bf16_rows_scalar(a.data(), a.cols(), w.data(), w.cols(), out.data(),
-                            row_begin, row_end);
-  }
-}
-
 void check_bf16_shapes(const Matrix& a, const Matrix16& w) {
   if (a.cols() != w.rows()) {
     throw std::invalid_argument("matmul_bf16: inner dimensions do not match");
@@ -50,6 +39,21 @@ void check_bf16_shapes(const Matrix& a, const Matrix16& w) {
 }
 
 }  // namespace
+
+namespace detail {
+
+void matmul_bf16_rows_dispatch(const Matrix& a, const Matrix16& w, Matrix& out,
+                               std::size_t row_begin, std::size_t row_end) {
+  if (simd::dispatch() == simd::Isa::Avx2) {
+    matmul_bf16_rows_avx2(a.data(), a.cols(), w.data(), w.cols(), out.data(),
+                          row_begin, row_end);
+  } else {
+    matmul_bf16_rows_scalar(a.data(), a.cols(), w.data(), w.cols(), out.data(),
+                            row_begin, row_end);
+  }
+}
+
+}  // namespace detail
 
 const char* precision_name(Precision precision) noexcept {
   switch (precision) {
@@ -111,50 +115,15 @@ Matrix Matrix16::unpack() const {
 
 void matmul_bf16_into(const Matrix& a, const Matrix16& w, Matrix& out) {
   check_bf16_shapes(a, w);
-  static obs::Counter& calls =
-      obs::MetricsRegistry::global().counter("kernel.matmul_bf16.calls");
-  static obs::Histogram& seconds =
-      obs::MetricsRegistry::global().histogram("kernel.matmul_bf16.seconds");
-  calls.add();
-  obs::ScopedDurationTimer timer(seconds);
+  const KernelCall call(Kernel::MatmulBf16);
   out.reshape(a.rows(), w.cols());
-  matmul_bf16_rows_dispatch(a, w, out, 0, a.rows());
+  detail::matmul_bf16_rows_dispatch(a, w, out, 0, a.rows());
 }
 
 Matrix matmul_bf16(const Matrix& a, const Matrix16& w) {
   Matrix out;
   matmul_bf16_into(a, w, out);
   return out;
-}
-
-void matmul_bf16_live_rows_into(const Matrix& a, const Matrix16& w, Matrix& out,
-                                const double* row_live) {
-  if (row_live == nullptr) {
-    matmul_bf16_into(a, w, out);
-    return;
-  }
-  check_bf16_shapes(a, w);
-  static obs::Counter& calls =
-      obs::MetricsRegistry::global().counter("kernel.matmul_bf16.calls");
-  static obs::Histogram& seconds =
-      obs::MetricsRegistry::global().histogram("kernel.matmul_bf16.seconds");
-  calls.add();
-  obs::ScopedDurationTimer timer(seconds);
-  out.reshape(a.rows(), w.cols());
-  // Maximal runs of live rows, mirroring matmul_live_rows_into: dead rows
-  // keep the exact zeros reshape wrote.
-  std::size_t i = 0;
-  const std::size_t rows = a.rows();
-  while (i < rows) {
-    if (row_live[i] == 0.0) {
-      ++i;
-      continue;
-    }
-    std::size_t end = i + 1;
-    while (end < rows && row_live[end] != 0.0) ++end;
-    matmul_bf16_rows_dispatch(a, w, out, i, end);
-    i = end;
-  }
 }
 
 }  // namespace cfgx

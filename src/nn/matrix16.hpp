@@ -86,10 +86,14 @@ class Matrix16 {
 void matmul_bf16_into(const Matrix& a, const Matrix16& w, Matrix& out);
 Matrix matmul_bf16(const Matrix& a, const Matrix16& w);
 
-// Row-masked variant: computes only rows i with row_live[i] != 0.0 (masked
-// rows stay at the exact zero the reshape wrote); nullptr degrades to
-// matmul_bf16_into. Live rows are bit-identical to matmul_bf16_into.
-void matmul_bf16_live_rows_into(const Matrix& a, const Matrix16& w,
-                                Matrix& out, const double* row_live);
+namespace detail {
+
+// ISA-dispatched bf16 row kernel: overwrites rows [row_begin, row_end) of
+// `out` with A * W (fp32 accumulation). Shared by matmul_bf16_into and the
+// fused GCN tiles; each row depends only on that row of A.
+void matmul_bf16_rows_dispatch(const Matrix& a, const Matrix16& w, Matrix& out,
+                               std::size_t row_begin, std::size_t row_end);
+
+}  // namespace detail
 
 }  // namespace cfgx

@@ -19,7 +19,7 @@
 // attribute every measurement to the code path that produced it.
 //
 // Equivalence contract (what the simd prop suite pins):
-//   * Within one ISA, every kernel variant (`_into`, live-rows, parallel,
+//   * Within one ISA, every kernel variant (`_into`, fused tiles, parallel,
 //     batched) is bit-identical to the others — same per-element IEEE
 //     operation sequence, so determinism and all existing cross-variant
 //     oracles hold unchanged under either ISA.
@@ -95,10 +95,11 @@ namespace detail {
 void matmul_rows_avx2(const double* a, std::size_t a_cols, const double* b,
                       std::size_t n_cols, double* out, std::size_t row_begin,
                       std::size_t row_end);
-// CSR rows: out[i, j] += sum_p values[p] * B[col_idx[p], j].
-void spmm_rows_avx2(const std::size_t* row_ptr, const std::uint32_t* col_idx,
-                    const double* values, const double* b, std::size_t n_cols,
-                    double* out, std::size_t row_begin, std::size_t row_end);
+// One CSR row: out_row[j] += sum_p values[p] * B[col_idx[p], j] over
+// p in [row_ptr[0], row_ptr[1]).
+void spmm_row_avx2(const std::size_t* row_ptr, const std::uint32_t* col_idx,
+                   const double* values, const double* b, std::size_t n_cols,
+                   double* out_row);
 // bf16 weights, fp32 accumulation: out[i, j] = (double) sum_k
 // fmaf((float) a[i, k], widen(w[k, j]), acc). Bit-identical to the scalar
 // bf16 kernel in matrix16.cpp (same correctly rounded fp32 fma sequence).

@@ -7,21 +7,11 @@
 #include <string>
 
 #include "nn/simd.hpp"
+#include "nn/tiles.hpp"
 #include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cfgx {
 namespace {
-
-// Per-ISA attribution mirroring matrix.cpp: aggregate counters stay, the
-// .scalar/.avx2 split records the serving code path.
-obs::Counter& spmm_isa_counter(simd::Isa isa) {
-  static obs::Counter& scalar =
-      obs::MetricsRegistry::global().counter("kernel.spmm.calls.scalar");
-  static obs::Counter& avx2 =
-      obs::MetricsRegistry::global().counter("kernel.spmm.calls.avx2");
-  return isa == simd::Isa::Avx2 ? avx2 : scalar;
-}
 
 [[noreturn]] void throw_spmm_shape(const char* op, std::size_t a_rows,
                                    std::size_t a_cols, const Matrix& b) {
@@ -30,52 +20,6 @@ obs::Counter& spmm_isa_counter(simd::Isa isa) {
                               std::to_string(a_cols) + "] vs [" +
                               std::to_string(b.rows()) + "x" +
                               std::to_string(b.cols()) + "]");
-}
-
-// Splits [0, extent) into at most pool.worker_count() contiguous chunks and
-// runs body(begin, end) for each on the pool. Chunks are disjoint, so the
-// body may write its output range without synchronization.
-void parallel_ranges(ThreadPool& pool, std::size_t extent,
-                     const std::function<void(std::size_t, std::size_t)>& body) {
-  const std::size_t chunk_count =
-      std::max<std::size_t>(1, std::min(extent, pool.worker_count()));
-  const std::size_t chunk = (extent + chunk_count - 1) / chunk_count;
-  pool.parallel_for(chunk_count, [&](std::size_t c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(extent, begin + chunk);
-    if (begin < end) body(begin, end);
-  });
-}
-
-void spmm_rows_scalar(const CsrMatrix& a, const Matrix& b, Matrix& out,
-                      std::size_t row_begin, std::size_t row_end) {
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_idx = a.col_idx();
-  const auto& values = a.values();
-  const std::size_t n_cols = b.cols();
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    double* out_row = out.data() + i * n_cols;
-    for (std::size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-      const double v = values[p];
-      const double* b_row = b.data() + col_idx[p] * n_cols;
-      for (std::size_t j = 0; j < n_cols; ++j) out_row[j] += v * b_row[j];
-    }
-  }
-}
-
-// ISA-dispatched CSR row loop. Per output element both implementations
-// accumulate the row's nonzeros in ascending-p order (the scalar loop is
-// p-outer / j-inner, the AVX2 one j-outer / p-inner — same per-element
-// sequence), so they differ only by FMA contraction (bound in simd.hpp).
-void spmm_rows(const CsrMatrix& a, const Matrix& b, Matrix& out,
-               std::size_t row_begin, std::size_t row_end) {
-  if (simd::dispatch() == simd::Isa::Avx2) {
-    detail::spmm_rows_avx2(a.row_ptr().data(), a.col_idx().data(),
-                           a.values().data(), b.data(), b.cols(), out.data(),
-                           row_begin, row_end);
-  } else {
-    spmm_rows_scalar(a, b, out, row_begin, row_end);
-  }
 }
 
 // A^T * B restricted to B's column slice [col_begin, col_end): every nnz
@@ -99,6 +43,30 @@ void spmm_transpose_cols(const CsrMatrix& a, const Matrix& b, Matrix& out,
 }
 
 }  // namespace
+
+namespace detail {
+
+// Per output element both implementations accumulate the row's nonzeros
+// in ascending-p order (the scalar loop is p-outer / j-inner, the AVX2 one
+// j-outer / p-inner — same per-element sequence), so they differ only by
+// FMA contraction (bound in simd.hpp).
+void spmm_row_dispatch(const CsrMatrix& a, std::size_t row, const Matrix& b,
+                       double* out_row) {
+  const std::size_t* row_ptr = a.row_ptr().data() + row;
+  if (simd::dispatch() == simd::Isa::Avx2) {
+    spmm_row_avx2(row_ptr, a.col_idx().data(), a.values().data(), b.data(),
+                  b.cols(), out_row);
+    return;
+  }
+  const std::size_t n_cols = b.cols();
+  for (std::size_t p = row_ptr[0]; p < row_ptr[1]; ++p) {
+    const double v = a.values()[p];
+    const double* b_row = b.data() + a.col_idx()[p] * n_cols;
+    for (std::size_t j = 0; j < n_cols; ++j) out_row[j] += v * b_row[j];
+  }
+}
+
+}  // namespace detail
 
 CsrMatrix CsrMatrix::from_dense(const Matrix& dense, double threshold) {
   CsrMatrix out;
@@ -235,54 +203,19 @@ BatchedCsr BatchedCsr::concat(const std::vector<const CsrMatrix*>& blocks) {
 void spmm_into(const CsrMatrix& a, const Matrix& b, Matrix& out,
                ThreadPool* pool) {
   if (a.cols() != b.rows()) throw_spmm_shape("spmm", a.rows(), a.cols(), b);
-  static obs::Counter& calls =
-      obs::MetricsRegistry::global().counter("kernel.spmm.calls");
-  static obs::Histogram& seconds =
-      obs::MetricsRegistry::global().histogram("kernel.spmm.seconds");
-  calls.add();
-  spmm_isa_counter(simd::dispatch()).add();
-  obs::ScopedDurationTimer timer(seconds);
+  const KernelCall call(Kernel::Spmm);
   out.reshape(a.rows(), b.cols());
-  if (pool != nullptr && a.rows() > 1) {
-    parallel_ranges(*pool, a.rows(), [&](std::size_t begin, std::size_t end) {
-      spmm_rows(a, b, out, begin, end);
-    });
-  } else {
-    spmm_rows(a, b, out, 0, a.rows());
-  }
+  parallel_ranges(pool, a.rows(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      detail::spmm_row_dispatch(a, i, b, out.data() + i * b.cols());
+    }
+  });
 }
 
 Matrix spmm(const CsrMatrix& a, const Matrix& b, ThreadPool* pool) {
   Matrix out;
   spmm_into(a, b, out, pool);
   return out;
-}
-
-void spmm_live_rows_into(const CsrMatrix& a, const Matrix& b, Matrix& out,
-                         const double* row_live, ThreadPool* pool) {
-  if (row_live == nullptr) {
-    spmm_into(a, b, out, pool);
-    return;
-  }
-  if (a.cols() != b.rows()) throw_spmm_shape("spmm", a.rows(), a.cols(), b);
-  static obs::Counter& calls =
-      obs::MetricsRegistry::global().counter("kernel.spmm.calls");
-  static obs::Histogram& seconds =
-      obs::MetricsRegistry::global().histogram("kernel.spmm.seconds");
-  calls.add();
-  spmm_isa_counter(simd::dispatch()).add();
-  obs::ScopedDurationTimer timer(seconds);
-  out.reshape(a.rows(), b.cols());
-  const auto live_rows = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      if (row_live[i] != 0.0) spmm_rows(a, b, out, i, i + 1);
-    }
-  };
-  if (pool != nullptr && a.rows() > 1) {
-    parallel_ranges(*pool, a.rows(), live_rows);
-  } else {
-    live_rows(0, a.rows());
-  }
 }
 
 void spmm_transpose_a_into(const CsrMatrix& a, const Matrix& b, Matrix& out,
@@ -297,13 +230,9 @@ void spmm_transpose_a_into(const CsrMatrix& a, const Matrix& b, Matrix& out,
   calls.add();
   obs::ScopedDurationTimer timer(seconds);
   out.reshape(a.cols(), b.cols());
-  if (pool != nullptr && b.cols() > 1) {
-    parallel_ranges(*pool, b.cols(), [&](std::size_t begin, std::size_t end) {
-      spmm_transpose_cols(a, b, out, begin, end);
-    });
-  } else {
-    spmm_transpose_cols(a, b, out, 0, b.cols());
-  }
+  parallel_ranges(pool, b.cols(), [&](std::size_t begin, std::size_t end) {
+    spmm_transpose_cols(a, b, out, begin, end);
+  });
 }
 
 Matrix spmm_transpose_a(const CsrMatrix& a, const Matrix& b, ThreadPool* pool) {
@@ -324,7 +253,7 @@ void matmul_parallel_into(const Matrix& a, const Matrix& b, Matrix& out,
   calls.add();
   obs::ScopedDurationTimer timer(seconds);
   out.reshape(a.rows(), b.cols());
-  parallel_ranges(pool, a.rows(), [&](std::size_t begin, std::size_t end) {
+  parallel_ranges(&pool, a.rows(), [&](std::size_t begin, std::size_t end) {
     detail::matmul_rows_dispatch(a, b, out, begin, end);
   });
 }

@@ -121,12 +121,6 @@ void spmm_into(const CsrMatrix& a, const Matrix& b, Matrix& out,
                ThreadPool* pool = nullptr);
 Matrix spmm(const CsrMatrix& a, const Matrix& b, ThreadPool* pool = nullptr);
 
-// Row-masked spmm: computes only rows i with row_live[i] != 0.0, leaving
-// masked rows at the exact zero the reshape wrote; nullptr degrades to
-// spmm_into. Live rows are bit-identical to spmm_into.
-void spmm_live_rows_into(const CsrMatrix& a, const Matrix& b, Matrix& out,
-                         const double* row_live, ThreadPool* pool = nullptr);
-
 // C = A^T * B without materializing A^T. With a pool, each worker owns a
 // disjoint slice of B's columns (scatter over output rows is race-free
 // because writes within a slice never overlap across workers).
@@ -142,5 +136,17 @@ Matrix spmm_transpose_a(const CsrMatrix& a, const Matrix& b,
 void matmul_parallel_into(const Matrix& a, const Matrix& b, Matrix& out,
                           ThreadPool& pool);
 Matrix matmul_parallel(const Matrix& a, const Matrix& b, ThreadPool& pool);
+
+namespace detail {
+
+// One row of spmm into an arbitrary destination row: out_row[0, n) +=
+// sum_p A[row, p] * B[col_p, 0..n) over the row's nonzeros in ascending p,
+// on the ISA-dispatched row kernel spmm_into runs. `out_row` holds the
+// accumulation seed (zero for a fresh row). The fused GCN pass aggregates
+// gathered live rows into a tile with it.
+void spmm_row_dispatch(const CsrMatrix& a, std::size_t row, const Matrix& b,
+                       double* out_row);
+
+}  // namespace detail
 
 }  // namespace cfgx

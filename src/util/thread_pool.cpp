@@ -78,8 +78,8 @@ bool ThreadPool::in_worker_thread() const {
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
   QueuedTask queued;
-  queued.task = std::packaged_task<void()>(std::move(task));
-  std::future<void> future = queued.task.get_future();
+  queued.task = std::move(task);
+  std::future<void> future = queued.done.get_future();
   const bool instrumented = obs::metrics_enabled();
   if (instrumented) queued.enqueued_seconds = now_seconds();
   std::size_t depth = 0;
@@ -140,31 +140,39 @@ void ThreadPool::parallel_for(std::size_t count,
 void ThreadPool::worker_loop() {
   current_worker_pool = this;
   for (;;) {
-    QueuedTask queued;
-    std::size_t depth = 0;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained
-      queued = std::move(queue_.front());
-      queue_.pop();
-      depth = queue_.size();
-    }
-    if (obs::metrics_enabled()) {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping_ and drained
+    QueuedTask queued = std::move(queue_.front());
+    queue_.pop();
+    const std::size_t depth = queue_.size();
+    lock.unlock();
+    const bool instrumented = obs::metrics_enabled();
+    double start = 0.0;
+    if (instrumented) {
       auto& metrics = PoolMetrics::get();
       metrics.queue_depth.set(static_cast<double>(depth));
-      const double start = now_seconds();
+      start = now_seconds();
       if (queued.enqueued_seconds > 0.0) {
         metrics.task_wait_seconds.record(start - queued.enqueued_seconds);
       }
-      {
-        obs::TraceSpan span("pool.task", "pool");
-        queued.task();  // exceptions are captured by the packaged_task
-      }
-      metrics.task_run_seconds.record(now_seconds() - start);
-    } else {
+    }
+    std::exception_ptr error;
+    {
       obs::TraceSpan span("pool.task", "pool");
-      queued.task();  // exceptions are captured by the packaged_task
+      try {
+        queued.task();
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
+    if (instrumented) {
+      PoolMetrics::get().task_run_seconds.record(now_seconds() - start);
+    }
+    if (error) {
+      queued.done.set_exception(error);
+    } else {
+      queued.done.set_value();
     }
   }
 }

@@ -56,8 +56,11 @@ class ThreadPool {
 
   // Enqueue timestamp rides along so workers can report queue wait time;
   // it is only populated (and the clock only read) while metrics are on.
+  // The worker fulfils `done` only after recording the task's metrics, so
+  // a caller whose future is ready sees every sample of that task.
   struct QueuedTask {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
+    std::promise<void> done;
     double enqueued_seconds = 0.0;
   };
 

@@ -2,7 +2,7 @@
 // decision 14).
 //
 // Contract split (simd.hpp):
-//   * WITHIN one ISA every kernel variant (`_into`, wrapper, live-rows,
+//   * WITHIN one ISA every kernel variant (`_into`, wrapper, row tiles,
 //     parallel, batched) is bit-identical — checked by memcmp here under
 //     the AVX2 ISA (the scalar side is pinned by the pre-existing suites).
 //   * ACROSS ISAs the AVX2 kernels preserve the scalar accumulation order
@@ -147,7 +147,7 @@ TEST_F(SimdOracle, Avx2VariantsBitIdenticalWithinIsa) {
   ThreadPool pool(4);
   Matrix out;  // reused: dirty-destination path included
   CHECK_PROPERTY(
-      "within AVX2: wrapper == _into == parallel == live-rows == CSR",
+      "within AVX2: wrapper == _into == parallel == CSR",
       hostile_cases(48),
       [&](const MatmulCase& c) {
         const Matrix expected = matmul(c.a, c.b);
@@ -156,9 +156,6 @@ TEST_F(SimdOracle, Avx2VariantsBitIdenticalWithinIsa) {
         if (!bit_identical(matmul_parallel(c.a, c.b, pool), expected)) {
           return false;
         }
-        const std::vector<double> all_live(c.a.rows(), 1.0);
-        matmul_live_rows_into(c.a, c.b, out, all_live.data());
-        if (!bit_identical(out, expected)) return false;
         // Dense-vs-CSR identity (fma(0, b, acc) == acc mirrors the scalar
         // zero-skip) must keep holding under AVX2.
         const CsrMatrix csr = CsrMatrix::from_dense(c.a);
@@ -219,6 +216,36 @@ TEST_F(SimdOracle, RemainderLaneSweepMatchesScalarWithinBound) {
         }
         EXPECT_TRUE(
             within_bound(avx2_out, scalar_out, contraction_bound(a, b)))
+            << m << "x" << k << "x" << n;
+      }
+    }
+  }
+}
+
+// The dense AVX2 kernel runs 4-row tiles and finishes remainder rows with
+// the 2-row and 1-row tiles; every element must still be one ascending-k
+// fma chain, so a whole-matrix call equals calling the kernel one row at a
+// time. Rows 1-9 cover every 4/2/1 remainder, the column counts every
+// 8/4/scalar column split, and k runs from one term to the widest layer.
+TEST_F(SimdOracle, RowTilesMatchOneRowAtATimeBitwise) {
+  simd::ScopedIsa isa(simd::Isa::Avx2);
+  Rng rng(20261017);
+  for (std::size_t m = 1; m <= 9; ++m) {
+    for (std::size_t n : {1u, 4u, 8u, 12u, 32u, 48u, 64u}) {
+      for (std::size_t k : {1u, 12u, 32u, 64u}) {
+        Matrix a(m, k), b(k, n);
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          a.data()[i] = rng.uniform(-3.0, 3.0);
+        }
+        for (std::size_t i = 0; i < b.size(); ++i) {
+          b.data()[i] = rng.uniform(-3.0, 3.0);
+        }
+        Matrix whole, by_row(m, n);
+        matmul_into(a, b, whole);
+        for (std::size_t i = 0; i < m; ++i) {
+          detail::matmul_rows_dispatch(a, b, by_row, i, i + 1);
+        }
+        EXPECT_TRUE(bit_identical(whole, by_row))
             << m << "x" << k << "x" << n;
       }
     }
