@@ -11,9 +11,9 @@
 //
 // --kernels-baseline[=path] (default BENCH_kernels.json) switches to a
 // self-contained comparison mode instead of running google-benchmark: it
-// times blocked-vs-naive matmul, `_into`-vs-allocating kernel pairs,
-// scalar-vs-AVX2 matmul/spmm (when the host supports AVX2+FMA), and
-// fp64-vs-bf16 matmul at n in {64, 128, 256} with DurationStats (p50/p95),
+// times blocked-vs-naive matmul, `_into`-vs-allocating kernel pairs and
+// scalar-vs-AVX2 matmul/spmm (when the host supports AVX2+FMA) at n in
+// {64, 128, 256} with DurationStats (p50/p95),
 // records the workspace counter deltas proving the `_into` loops are
 // allocation-free in steady state, attributes every case to the ISA that
 // ran it, then writes the result as JSON and exits.
@@ -36,7 +36,6 @@
 #include "gnn/classifier.hpp"
 #include "graph/ops.hpp"
 #include "isa/features.hpp"
-#include "nn/matrix16.hpp"
 #include "nn/simd.hpp"
 #include "nn/sparse.hpp"
 #include "nn/workspace.hpp"
@@ -515,18 +514,6 @@ int run_kernels_baseline(const std::string& out_path) {
                 },
                 "scalar", "avx2");
     }
-
-    // --- fp64 vs bf16 feature transform under the active ISA.
-    const Matrix16 b16 = Matrix16::pack(b);
-    emit_case("matmul_fp64_vs_bf16", n, iters,
-              [&] {
-                matmul_into(a, b, out);
-                benchmark::DoNotOptimize(out.data());
-              },
-              [&] {
-                matmul_bf16_into(a, b16, out);
-                benchmark::DoNotOptimize(out.data());
-              });
   }
 
   json.end_array();

@@ -10,7 +10,6 @@
 
 #include "common.hpp"
 #include "graph/reduce.hpp"
-#include "nn/matrix16.hpp"
 #include "nn/simd.hpp"
 
 using namespace cfgx;
@@ -84,19 +83,13 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  // fp64-vs-bf16 Phi inference on the same eval set: the serving-precision
-  // comparison Table IV's wall-clock discussion leans on, recorded in the
-  // manifest with per-ISA attribution (`simd_isa` + the timing pair).
+  // Phi inference on the same eval set, recorded in the manifest with
+  // per-ISA attribution (`simd_isa` + the timing).
   {
-    GnnClassifier bf16 = ctx.gnn().clone();
-    bf16.set_precision(Precision::Bf16);
-    const DurationStats fp64_stats = time_predictions(ctx.gnn(), ctx);
-    const DurationStats bf16_stats = time_predictions(bf16, ctx);
-    report.add_timing("gnn_predict.fp64", fp64_stats);
-    report.add_timing("gnn_predict.bf16", bf16_stats);
-    std::printf("Phi inference (%s kernels): fp64 %s, bf16 %s per graph.\n",
-                simd::isa_name(simd::dispatch()), fp64_stats.summary().c_str(),
-                bf16_stats.summary().c_str());
+    const DurationStats stats = time_predictions(ctx.gnn(), ctx);
+    report.add_timing("gnn_predict", stats);
+    std::printf("Phi inference (%s kernels): %s per graph.\n",
+                simd::isa_name(simd::dispatch()), stats.summary().c_str());
   }
 
   // Manifest attribution for paper-scale runs (`--nodes N`): alongside the

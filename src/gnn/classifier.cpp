@@ -183,8 +183,7 @@ void GnnClassifier::embed_into(const CsrMatrix& a_hat,
     }
     Matrix& dst = combined != nullptr ? next_hw->get() : out;
     const KernelCall call(aggregated != nullptr ? Kernel::Spmm
-                          : precision_ == Precision::Bf16 ? Kernel::MatmulBf16
-                                                          : Kernel::Matmul);
+                                                : Kernel::Matmul);
     const auto run_tile = [&](std::size_t first, std::size_t rows) {
       Matrix& h = tile_buffer(0, rows,
                               aggregated != nullptr ? aggregated->out_features()
@@ -236,9 +235,7 @@ Matrix GnnClassifier::class_logits(const Matrix& embeddings,
   // Cache-free dense readout.
   const Matrix pooled =
       readout_input(embeddings, active_count, nullptr, nullptr);
-  Matrix logits = precision_ == Precision::Bf16
-                      ? matmul_bf16(pooled, readout_w16_)
-                      : matmul(pooled, readout_->weight().value);
+  Matrix logits = matmul(pooled, readout_->weight().value);
   for (std::size_t c = 0; c < logits.cols(); ++c) {
     logits(0, c) += readout_->bias().value(0, c);
   }
@@ -359,14 +356,6 @@ GnnClassifier::BackwardResult GnnClassifier::backward_cached(
   return result;
 }
 
-void GnnClassifier::set_precision(Precision precision) {
-  for (GcnLayer& layer : gcn_layers_) layer.set_precision(precision);
-  readout_w16_ = precision == Precision::Bf16
-                     ? Matrix16::pack(readout_->weight().value)
-                     : Matrix16();
-  precision_ = precision;
-}
-
 std::vector<Parameter*> GnnClassifier::parameters() {
   std::vector<Parameter*> params;
   for (GcnLayer& layer : gcn_layers_) {
@@ -428,11 +417,7 @@ GnnClassifier GnnClassifier::load(std::istream& in) {
 GnnClassifier GnnClassifier::clone() const {
   std::stringstream buffer;
   save(buffer);
-  GnnClassifier copy = load(buffer);
-  // Checkpoints carry only the fp64 master weights; re-derive the packed
-  // bf16 view so the copy serves at the same precision.
-  if (precision_ != Precision::Fp64) copy.set_precision(precision_);
-  return copy;
+  return load(buffer);
 }
 
 void GnnClassifier::save_file(const std::string& path) const {

@@ -64,23 +64,15 @@ class GnnClassifier {
 
   // Optional thread pool for the sparse/dense kernels inside embed() and
   // the cached training path; embed_into splits each pass's tiles across
-  // it. Row-partitioned work keeps results identical to the serial run. Not owned; not copied by clone()/save(). The pool
-  // may be the same one driving explain_batch — a reentrant parallel_for
-  // from a worker runs inline.
+  // it. Row-partitioned work keeps results identical to the serial run.
+  // Not owned; not copied by clone()/save(). The pool may be the same one
+  // driving explain_batch — a reentrant parallel_for from a worker runs
+  // inline.
   void set_kernel_pool(ThreadPool* pool) noexcept { kernel_pool_ = pool; }
   ThreadPool* kernel_pool() const noexcept { return kernel_pool_; }
 
   void set_scaler(FeatureScaler scaler) { scaler_ = std::move(scaler); }
   const FeatureScaler& scaler() const noexcept { return scaler_; }
-
-  // Inference precision (DESIGN.md decision 14). Bf16 packs bf16 copies of
-  // the GCN and readout weights and routes every inference-path feature
-  // transform through the fp32-accumulating bf16 kernels; Fp64 restores the
-  // reference path. Training (forward_cached/backward_cached) and
-  // checkpoints always use the fp64 master weights; re-apply after updating
-  // weights. clone() preserves the setting.
-  void set_precision(Precision precision);
-  Precision precision() const noexcept { return precision_; }
 
   // --- inference (const) ---
 
@@ -164,8 +156,6 @@ class GnnClassifier {
   FeatureScaler scaler_;
   std::vector<GcnLayer> gcn_layers_;
   std::unique_ptr<Dense> readout_;
-  Precision precision_ = Precision::Fp64;
-  Matrix16 readout_w16_;  // packed readout weights when Bf16
 
   ThreadPool* kernel_pool_ = nullptr;
 

@@ -48,16 +48,9 @@ GcnLayer::GcnLayer(std::size_t in_features, std::size_t out_features, Rng& rng,
     : weight_(name + ".W", glorot_uniform(in_features, out_features, rng)),
       bias_(name + ".b", Matrix(1, out_features)) {}
 
-void GcnLayer::set_precision(Precision precision) {
-  weight_bf16_ =
-      precision == Precision::Bf16 ? Matrix16::pack(weight_.value) : Matrix16();
-  precision_ = precision;
-}
-
 Matrix GcnLayer::infer(const Matrix& a_hat, const Matrix& h) const {
-  Matrix hw = precision_ == Precision::Bf16 ? matmul_bf16(h, weight_bf16_)
-                                            : matmul(h, weight_.value);
-  return relu(add_bias_rows(matmul(a_hat, hw), bias_.value));
+  return relu(add_bias_rows(matmul(a_hat, matmul(h, weight_.value)),
+                            bias_.value));
 }
 
 Matrix GcnLayer::infer(const CsrMatrix& a_hat, const Matrix& h,
@@ -70,11 +63,7 @@ Matrix GcnLayer::infer(const CsrMatrix& a_hat, const Matrix& h,
 void GcnLayer::infer_into(const CsrMatrix& a_hat, const Matrix& h, Matrix& out,
                           ThreadPool* pool) const {
   Workspace::Lease hw = Workspace::local().acquire(h.rows(), out_features());
-  if (precision_ == Precision::Bf16) {
-    matmul_bf16_into(h, weight_bf16_, hw.get());
-  } else {
-    matmul_into(h, weight_.value, hw.get());
-  }
+  matmul_into(h, weight_.value, hw.get());
   spmm_into(a_hat, hw.get(), out, pool);
   for (std::size_t r = 0; r < out.rows(); ++r) {
     finish_row(out.data() + r * out.cols());
@@ -83,11 +72,7 @@ void GcnLayer::infer_into(const CsrMatrix& a_hat, const Matrix& h, Matrix& out,
 
 void GcnLayer::combine_rows(const Matrix& h, Matrix& out,
                             std::size_t rows) const {
-  if (precision_ == Precision::Bf16) {
-    detail::matmul_bf16_rows_dispatch(h, weight_bf16_, out, 0, rows);
-  } else {
-    detail::matmul_rows_dispatch(h, weight_.value, out, 0, rows);
-  }
+  detail::matmul_rows_dispatch(h, weight_.value, out, 0, rows);
 }
 
 void GcnLayer::finish_row(double* row) const {

@@ -23,7 +23,6 @@
 
 #include "nn/layers.hpp"
 #include "nn/matrix.hpp"
-#include "nn/matrix16.hpp"
 #include "nn/sparse.hpp"
 
 namespace cfgx {
@@ -37,14 +36,6 @@ class GcnLayer {
 
   std::size_t in_features() const { return weight_.value.rows(); }
   std::size_t out_features() const { return weight_.value.cols(); }
-
-  // Inference precision for the H*W product. Bf16 packs a bf16 copy of the
-  // CURRENT weights (re-call after any weight update); Fp64 drops it. The
-  // fp64 master weights, the training path (forward/backward) and the
-  // A_hat aggregation are unaffected — only the feature transform runs
-  // reduced-precision (it dominates the multiply count).
-  void set_precision(Precision precision);
-  Precision precision() const noexcept { return precision_; }
 
   // Cache-free inference (dense reference / CSR fast path).
   Matrix infer(const Matrix& a_hat, const Matrix& h) const;
@@ -61,8 +52,8 @@ class GcnLayer {
   // The two per-row stages, for callers that run the layer a tile of rows
   // at a time (GnnClassifier::embed_into):
   //   combine_rows: rows [0, rows) of `out` (zero-filled, out_features()
-  //     columns) become those rows of h * W, in this layer's precision, on
-  //     the same row kernels as infer_into.
+  //     columns) become those rows of h * W, on the same row kernel as
+  //     infer_into.
   //   finish_row: one aggregated row (A_hat H W)_i gets + b and the GCN
   //     clamp x < 0 -> 0, which keeps -0.0 and NaN (unlike the Theta_s
   //     ReLU, which maps both to +0.0).
@@ -90,8 +81,6 @@ class GcnLayer {
  private:
   Parameter weight_;
   Parameter bias_;
-  Precision precision_ = Precision::Fp64;
-  Matrix16 weight_bf16_;  // packed copy of weight_.value when Bf16
   // Caches for backward. Exactly one of cached_a_hat_ / cached_a_csr_ is
   // populated, per the overload forward() was called with.
   Matrix cached_a_hat_;

@@ -14,9 +14,9 @@
 // runs and across the `_into` / fused-tile / parallel / batched variants
 // (they all funnel into these row kernels).
 //
-// Remainder columns (n % 4) use std::fma / std::fmaf so the contracted
-// rounding matches the vector lanes exactly; the dense kernel runs 4-row
-// tiles and finishes remainder rows with the 2-row and 1-row tiles.
+// Remainder columns (n % 4) use std::fma so the contracted rounding
+// matches the vector lanes exactly; the dense kernel runs 4-row tiles and
+// finishes remainder rows with the 2-row and 1-row tiles.
 #include "nn/simd.hpp"
 
 #if defined(CFGX_HAVE_AVX2_BUILD) && (defined(__x86_64__) || defined(__i386__))
@@ -97,21 +97,6 @@ inline void matmul_row_tile(const double* a, std::size_t a_cols,
   }
 }
 
-// Widens 8 bf16 payloads to an fp32 vector: bf16 is the top half of the
-// IEEE binary32 bit pattern, so widening is a 16-bit left shift.
-inline __m256 widen_bf16(const std::uint16_t* w) {
-  const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w));
-  return _mm256_castsi256_ps(
-      _mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16));
-}
-
-inline float widen_bf16_scalar(std::uint16_t w) {
-  const std::uint32_t bits = static_cast<std::uint32_t>(w) << 16;
-  float out;
-  __builtin_memcpy(&out, &bits, sizeof out);
-  return out;
-}
-
 }  // namespace
 
 void matmul_rows_avx2(const double* a, std::size_t a_cols, const double* b,
@@ -189,39 +174,6 @@ void spmm_row_avx2(const std::size_t* row_ptr, const std::uint32_t* col_idx,
   }
 }
 
-void matmul_bf16_rows_avx2(const double* a, std::size_t a_cols,
-                           const std::uint16_t* w, std::size_t n_cols,
-                           double* out, std::size_t row_begin,
-                           std::size_t row_end) {
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const double* a_row = a + i * a_cols;
-    double* out_row = out + i * n_cols;
-    std::size_t j = 0;
-    for (; j + 8 <= n_cols; j += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      const std::uint16_t* w_col = w + j;
-      for (std::size_t k = 0; k < a_cols; ++k, w_col += n_cols) {
-        const __m256 aik = _mm256_set1_ps(static_cast<float>(a_row[k]));
-        acc = _mm256_fmadd_ps(aik, widen_bf16(w_col), acc);
-      }
-      // fp32 accumulator -> fp64 output (exact widening).
-      _mm256_storeu_pd(out_row + j,
-                       _mm256_cvtps_pd(_mm256_castps256_ps128(acc)));
-      _mm256_storeu_pd(out_row + j + 4,
-                       _mm256_cvtps_pd(_mm256_extractf128_ps(acc, 1)));
-    }
-    for (; j < n_cols; ++j) {
-      float acc = 0.0f;
-      const std::uint16_t* w_col = w + j;
-      for (std::size_t k = 0; k < a_cols; ++k, w_col += n_cols) {
-        acc = std::fmaf(static_cast<float>(a_row[k]),
-                        widen_bf16_scalar(*w_col), acc);
-      }
-      out_row[j] = static_cast<double>(acc);
-    }
-  }
-}
-
 }  // namespace cfgx::detail
 
 #else  // !CFGX_HAVE_AVX2_BUILD
@@ -241,11 +193,6 @@ void spmm_row_avx2(const std::size_t*, const std::uint32_t*, const double*,
                    const double*, std::size_t, double*) {
   std::abort();
 }
-void matmul_bf16_rows_avx2(const double*, std::size_t, const std::uint16_t*,
-                           std::size_t, double*, std::size_t, std::size_t) {
-  std::abort();
-}
-
 }  // namespace cfgx::detail
 
 #endif

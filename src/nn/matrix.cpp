@@ -87,11 +87,6 @@ Matrix& Matrix::hadamard_inplace(const Matrix& other) {
   return *this;
 }
 
-Matrix& Matrix::apply(const std::function<double(double)>& fn) {
-  for (double& v : data_) v = fn(v);
-  return *this;
-}
-
 double Matrix::sum() const noexcept {
   double acc = 0.0;
   for (double v : data_) acc += v;

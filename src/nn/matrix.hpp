@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <initializer_list>
 #include <new>
 #include <span>
@@ -122,17 +121,13 @@ class Matrix {
   Matrix& operator*=(double scalar) noexcept;
   Matrix& hadamard_inplace(const Matrix& other);
 
-  // Applies fn to every element. The template overload is the hot path
-  // (inlined, no type erasure — ReLU/Sigmoid/mask application); the
-  // std::function overload is kept for ABI/test compatibility and wins
-  // overload resolution only when a std::function is passed explicitly.
+  // Applies fn to every element (ReLU/Sigmoid/mask application).
   template <typename Fn>
     requires std::is_invocable_r_v<double, Fn, double>
   Matrix& apply(Fn&& fn) {
     for (double& v : data_) v = fn(v);
     return *this;
   }
-  Matrix& apply(const std::function<double(double)>& fn);
 
   // --- elementwise (value-returning) ---
   friend Matrix operator+(Matrix lhs, const Matrix& rhs) { return lhs += rhs; }

@@ -76,27 +76,6 @@ Matrix read_matrix(std::istream& in) {
   return out;
 }
 
-void write_matrix16(std::ostream& out, const Matrix16& matrix) {
-  write_u64(out, matrix.rows());
-  write_u64(out, matrix.cols());
-  out.write(reinterpret_cast<const char*>(matrix.data()),
-            static_cast<std::streamsize>(matrix.size() * sizeof(std::uint16_t)));
-}
-
-Matrix16 read_matrix16(std::istream& in) {
-  const std::uint64_t rows = read_u64(in);
-  const std::uint64_t cols = read_u64(in);
-  if (rows > kMaxDim || cols > kMaxDim) {
-    throw SerializationError("matrix dimensions implausibly large");
-  }
-  require_bytes(in, rows * cols * sizeof(std::uint16_t), "matrix payload");
-  Matrix16 out(rows, cols);
-  in.read(reinterpret_cast<char*>(out.data()),
-          static_cast<std::streamsize>(out.size() * sizeof(std::uint16_t)));
-  if (!in) throw SerializationError("unexpected end of stream reading matrix data");
-  return out;
-}
-
 void write_string(std::ostream& out, const std::string& value) {
   write_u64(out, value.size());
   out.write(value.data(), static_cast<std::streamsize>(value.size()));

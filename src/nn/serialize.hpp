@@ -19,7 +19,6 @@
 
 #include "nn/layers.hpp"
 #include "nn/matrix.hpp"
-#include "nn/matrix16.hpp"
 
 namespace cfgx {
 
@@ -36,12 +35,6 @@ std::optional<std::uint64_t> stream_bytes_remaining(std::istream& in);
 
 void write_matrix(std::ostream& out, const Matrix& matrix);
 Matrix read_matrix(std::istream& in);
-
-// bf16 variant (u64 rows | u64 cols | u16 data[rows*cols]) for exporting
-// packed inference weights; checkpoints keep the fp64 masters, so this is
-// a standalone format with the same validation behaviour as read_matrix.
-void write_matrix16(std::ostream& out, const Matrix16& matrix);
-Matrix16 read_matrix16(std::istream& in);
 
 void write_string(std::ostream& out, const std::string& value);
 std::string read_string(std::istream& in);

@@ -29,8 +29,6 @@
 //     |avx2 - scalar| <= 2 * k * u * sum_k |a_ik * b_kj|, u = 2^-53
 //     (each of the k steps replaces two roundings by one; no
 //     reassociation). The simd_oracle suite checks this bound.
-//   * The bf16 kernels (matrix16.hpp) accumulate in fp32 with correctly
-//     rounded fmaf on both ISAs and are bit-identical across ISAs.
 #pragma once
 
 #include <cstddef>
@@ -87,9 +85,9 @@ namespace detail {
 // AVX2+FMA kernels (kernels_avx2.cpp, raw-pointer signatures so the
 // AVX2-compiled TU instantiates no shared inline code). Callable only when
 // simd::avx2_supported(); the dispatch wrappers in matrix.cpp / sparse.cpp
-// / matrix16.cpp guarantee that. Contracts mirror the scalar kernels they
-// replace: ascending-k accumulation per output element, `out` rows holding
-// their accumulation seed (zero after reshape) on entry.
+// guarantee that. Contracts mirror the scalar kernels they replace:
+// ascending-k accumulation per output element, `out` rows holding their
+// accumulation seed (zero after reshape) on entry.
 //
 // out[i, 0..n) += A[i, 0..k) * B[0..k, 0..n) for i in [row_begin, row_end).
 void matmul_rows_avx2(const double* a, std::size_t a_cols, const double* b,
@@ -100,13 +98,6 @@ void matmul_rows_avx2(const double* a, std::size_t a_cols, const double* b,
 void spmm_row_avx2(const std::size_t* row_ptr, const std::uint32_t* col_idx,
                    const double* values, const double* b, std::size_t n_cols,
                    double* out_row);
-// bf16 weights, fp32 accumulation: out[i, j] = (double) sum_k
-// fmaf((float) a[i, k], widen(w[k, j]), acc). Bit-identical to the scalar
-// bf16 kernel in matrix16.cpp (same correctly rounded fp32 fma sequence).
-void matmul_bf16_rows_avx2(const double* a, std::size_t a_cols,
-                           const std::uint16_t* w, std::size_t n_cols,
-                           double* out, std::size_t row_begin,
-                           std::size_t row_end);
 
 }  // namespace detail
 }  // namespace cfgx

@@ -27,7 +27,6 @@ KernelMetrics metrics_named(const std::string& prefix) {
 
 obs::Histogram& count_call(Kernel kernel) {
   static KernelMetrics metrics[] = {metrics_named("kernel.matmul"),
-                                    metrics_named("kernel.matmul_bf16"),
                                     metrics_named("kernel.spmm")};
   KernelMetrics& m = metrics[static_cast<std::size_t>(kernel)];
   m.calls.add();

@@ -34,7 +34,7 @@ Matrix& tile_buffer(std::size_t slot, std::size_t rows, std::size_t cols);
 void parallel_ranges(ThreadPool* pool, std::size_t extent,
                      const std::function<void(std::size_t, std::size_t)>& body);
 
-enum class Kernel : std::uint8_t { Matmul, MatmulBf16, Spmm };
+enum class Kernel : std::uint8_t { Matmul, Spmm };
 
 // Counts one call of `kernel` in kernel.<name>.calls and its per-ISA split
 // kernel.<name>.calls.<isa>, and times its own lifetime into

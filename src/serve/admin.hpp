@@ -10,7 +10,7 @@
 //   /metrics  -> Prometheus text exposition of the global registry
 //   /healthz  -> "ok\n" (liveness: the acceptor thread is responsive)
 //   /statusz  -> engine status JSON (uptime, queue depth, in-flight,
-//                batch stats, ISA/precision, last error, SLO burn rates)
+//                batch stats, ISA, last error, SLO burn rates)
 //
 // Handlers are injected as callbacks so the server knows nothing about
 // the engine (the future training pipeline can mount its own /statusz).

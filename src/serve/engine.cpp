@@ -114,11 +114,6 @@ ExplanationEngine::ExplanationEngine(const GnnClassifier& gnn,
   if (config_.max_batch == 0) {
     throw std::invalid_argument("ExplanationEngine: max_batch must be > 0");
   }
-  if (config_.precision != Precision::Fp64) {
-    owned_gnn_ = std::make_unique<GnnClassifier>(gnn.clone());
-    owned_gnn_->set_precision(config_.precision);
-    gnn_ = owned_gnn_.get();
-  }
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
   if (config_.admin_port >= 0) {
     try {
@@ -266,7 +261,6 @@ std::string ExplanationEngine::statusz_json() const {
   }
   json.end_object();
   json.field("isa", simd::isa_name(simd::dispatch()));
-  json.field("precision", precision_name(config_.precision));
   {
     std::lock_guard<std::mutex> lock(telemetry_mutex_);
     json.field("last_error", last_error_);

@@ -55,9 +55,9 @@
 //     latency objectives, multi-window burn rate, threshold-crossing
 //     logs), surfaced by statusz_json();
 //   * statusz_json() renders the live engine state (uptime, queue depth,
-//     in-flight, ISA/precision, last error, SLO burns) and, together
-//     with the Prometheus exposition of the global registry, backs the
-//     optional loopback admin endpoint (ServeConfig::admin_port >= 0):
+//     in-flight, ISA, last error, SLO burns) and, together with the
+//     Prometheus exposition of the global registry, backs the optional
+//     loopback admin endpoint (ServeConfig::admin_port >= 0):
 //     GET /metrics | /healthz | /statusz while the engine serves.
 #pragma once
 
@@ -104,11 +104,6 @@ struct ServeConfig {
   std::size_t max_batch = 8;
   // Workers for the explainer fan-out (0 = hardware concurrency).
   std::size_t explain_workers = 0;
-  // Inference precision for the batched forward pass. Bf16 makes the
-  // engine serve from its own precision-set clone of the borrowed GNN
-  // (packed bf16 weights, fp32 accumulation — see matrix16.hpp); the
-  // caller's model is untouched and the explainers still see it.
-  Precision precision = Precision::Fp64;
   // Loopback admin endpoint (/metrics, /healthz, /statusz). Negative =
   // disabled (the default); 0 = ephemeral port (admin_port() tells).
   int admin_port = -1;
@@ -210,8 +205,8 @@ class ExplanationEngine {
 
   // The /statusz document: {"uptime_seconds":...,"queue_depth":...,
   // "inflight":...,"requests":{...},"batch":{...},"isa":...,
-  // "precision":...,"last_error":...,"slo":{...}}. Callable from any
-  // thread while the engine serves.
+  // "last_error":...,"slo":{...}}. Callable from any thread while the
+  // engine serves.
   std::string statusz_json() const;
 
  private:
@@ -230,8 +225,6 @@ class ExplanationEngine {
   void update_uptime_gauge() const;
 
   const GnnClassifier* gnn_;
-  // Precision-set clone backing gnn_ when config_.precision != Fp64.
-  std::unique_ptr<GnnClassifier> owned_gnn_;
   ExplainerFactory factory_;
   ServeConfig config_;
   ThreadPool explain_pool_;

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -306,17 +305,6 @@ TEST(WorkspaceTest, PaperScaleGiantGraphSteadyStateIsAllocationFree) {
   EXPECT_GE(retained_before, 7352u * 32u * sizeof(double));
 
   obs::set_metrics_enabled(saved);
-}
-
-TEST(MatrixApply, TemplateAndStdFunctionOverloadsAgree) {
-  Matrix a{{-1.5, 0.0, 2.0}, {3.0, -0.25, -0.0}};
-  Matrix b = a;
-  a.apply([](double v) { return v > 0.0 ? v : 0.0; });  // inlined template
-  b.apply(std::function<double(double)>(
-      [](double v) { return v > 0.0 ? v : 0.0; }));  // type-erased overload
-  EXPECT_TRUE(bit_identical(a, b));
-  EXPECT_EQ(a(0, 0), 0.0);
-  EXPECT_EQ(a(1, 0), 3.0);
 }
 
 TEST(IntoKernels, MatchValueReturningWrappersOnFixedShapes) {

@@ -17,14 +17,15 @@
 //
 // Covered: N in {1, tile-1, tile, tile+1, 2*tile+1, 7352}; random live
 // masks, all-dead and all-live; +-0, NaN, Inf and subnormal rows in the
-// features and in the embeddings; scalar and AVX2; fp64 and bf16; with and
-// without a kernel pool. The two clamps differ on purpose (the GCN clamp
-// keeps -0.0 and NaN, the Theta_s ReLU maps both to +0.0), and NaN rows
-// reach both, so a fused epilogue sharing one clamp fails here.
+// features and in the embeddings; scalar and AVX2; with and without a
+// kernel pool. The two clamps differ on purpose (the GCN clamp keeps -0.0
+// and NaN, the Theta_s ReLU maps both to +0.0), and NaN rows reach both,
+// so a fused epilogue sharing one clamp fails here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -36,10 +37,10 @@
 #include "gnn/classifier.hpp"
 #include "gnn/gcn.hpp"
 #include "nn/layers.hpp"
-#include "nn/matrix16.hpp"
 #include "nn/simd.hpp"
 #include "nn/sparse.hpp"
 #include "nn/tiles.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -184,9 +185,7 @@ Matrix reference_embed(GnnClassifier& gnn, const EmbedCase& c) {
   for (std::size_t l = 0; l < gnn.config().gcn_dims.size(); ++l) {
     const Matrix& w = params[2 * l]->value;
     const Matrix& b = params[2 * l + 1]->value;
-    Matrix hw = gnn.precision() == Precision::Bf16
-                    ? matmul_bf16(h, Matrix16::pack(w))
-                    : matmul(h, w);
+    Matrix hw = matmul(h, w);
     for (std::size_t i = 0; i < hw.rows(); ++i) {
       if (dead(i)) std::fill_n(hw.data() + i * hw.cols(), hw.cols(), 0.0);
     }
@@ -225,24 +224,20 @@ TEST(FusedOracle, EmbedMatchesPerLayerPathBitwise) {
   for (const std::size_t n : node_counts(widest)) {
     for (const Mask mask : {Mask::Random, Mask::AllDead, Mask::AllLive}) {
       const EmbedCase c = make_embed_case(rng, n, mask);
-      for (const Precision precision : {Precision::Fp64, Precision::Bf16}) {
-        gnn.set_precision(precision);
-        for (const simd::Isa isa : host_isas()) {
-          simd::ScopedIsa scoped(isa);
-          const Matrix expected = reference_embed(gnn, c);
-          for (ThreadPool* kernel_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
-            gnn.set_kernel_pool(kernel_pool);
-            gnn.embed_into(c.a_hat, c.inv_sqrt, c.features, out);
-            EXPECT_TRUE(bit_identical(out, expected))
-                << "n=" << n << " mask=" << mask_name(mask)
-                << " precision=" << precision_name(precision)
-                << " isa=" << simd::isa_name(isa)
-                << " pool=" << (kernel_pool != nullptr);
-          }
-          gnn.set_kernel_pool(nullptr);
-          for (std::size_t i = 0; i < expected.rows(); ++i) {
-            if (std::isnan(expected(i, 0))) ++nan_rows;
-          }
+      for (const simd::Isa isa : host_isas()) {
+        simd::ScopedIsa scoped(isa);
+        const Matrix expected = reference_embed(gnn, c);
+        for (ThreadPool* kernel_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          gnn.set_kernel_pool(kernel_pool);
+          gnn.embed_into(c.a_hat, c.inv_sqrt, c.features, out);
+          EXPECT_TRUE(bit_identical(out, expected))
+              << "n=" << n << " mask=" << mask_name(mask)
+              << " isa=" << simd::isa_name(isa)
+              << " pool=" << (kernel_pool != nullptr);
+        }
+        gnn.set_kernel_pool(nullptr);
+        for (std::size_t i = 0; i < expected.rows(); ++i) {
+          if (std::isnan(expected(i, 0))) ++nan_rows;
         }
       }
     }
@@ -364,6 +359,74 @@ TEST(FusedOracle, ScoreMatchesPackedSequentialBitwise) {
       }
     }
   }
+}
+
+// --- kernel accounting ---
+
+// One kernel's calls and their per-ISA split, as KernelCall records them.
+struct KernelCalls {
+  std::uint64_t calls = 0;
+  std::uint64_t scalar = 0;
+  std::uint64_t avx2 = 0;
+};
+
+KernelCalls kernel_calls(const std::string& kernel) {
+  auto& registry = obs::MetricsRegistry::global();
+  const std::string prefix = "kernel." + kernel + ".calls";
+  return {registry.counter(prefix).value(),
+          registry.counter(prefix + ".scalar").value(),
+          registry.counter(prefix + ".avx2").value()};
+}
+
+// Checks that `kernel` was called `expected` times between `before` and
+// now, every call attributed to `isa`.
+void expect_calls(const std::string& kernel, const KernelCalls& before,
+                  std::uint64_t expected, simd::Isa isa) {
+  const KernelCalls after = kernel_calls(kernel);
+  const std::uint64_t calls = after.calls - before.calls;
+  const std::uint64_t scalar = after.scalar - before.scalar;
+  const std::uint64_t avx2 = after.avx2 - before.avx2;
+  EXPECT_EQ(calls, expected) << kernel;
+  EXPECT_EQ(scalar + avx2, calls) << kernel;
+  EXPECT_EQ(isa == simd::Isa::Avx2 ? avx2 : scalar, calls) << kernel;
+}
+
+// cfgbench's per-explanation nn.matmul_calls and nn.spmm_calls count the
+// fused passes: one embed_into is one matmul call (the first combine) and
+// one spmm call per GCN layer, and one score_nodes_into is one matmul call,
+// however many tiles and pool workers the passes use.
+TEST(FusedOracle, KernelCallsCountOnePerPass) {
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  GnnClassifier gnn = make_classifier();
+  ASSERT_EQ(gnn.config().gcn_dims.size(), 3u);
+  const ExplainerModel model = make_model();
+  ThreadPool pool(3);
+  Rng rng(7);
+  const EmbedCase c = make_embed_case(rng, 300, Mask::Random);
+  Matrix embeddings;
+  Matrix scores;
+  for (const simd::Isa isa : host_isas()) {
+    simd::ScopedIsa scoped(isa);
+    for (ThreadPool* kernel_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(std::string("isa=") + simd::isa_name(isa) +
+                   " pool=" + (kernel_pool != nullptr ? "yes" : "no"));
+      gnn.set_kernel_pool(kernel_pool);
+      KernelCalls matmul = kernel_calls("matmul");
+      KernelCalls spmm = kernel_calls("spmm");
+      gnn.embed_into(c.a_hat, c.inv_sqrt, c.features, embeddings);
+      expect_calls("matmul", matmul, 1, isa);
+      expect_calls("spmm", spmm, 3, isa);
+
+      matmul = kernel_calls("matmul");
+      spmm = kernel_calls("spmm");
+      model.score_nodes_into(embeddings, scores);
+      expect_calls("matmul", matmul, 1, isa);
+      expect_calls("spmm", spmm, 0, isa);
+    }
+  }
+  gnn.set_kernel_pool(nullptr);
+  obs::set_metrics_enabled(was_enabled);
 }
 
 // The two clamps, pinned directly: the GCN epilogue keeps -0.0 and NaN,
