@@ -29,9 +29,7 @@ PipelineResult run_pipeline(BenchContext& ctx, GnnClassifier& gnn) {
   ExplainerTrainConfig train_config;
   train_config.epochs = ctx.config().explainer_epochs;
   train_config.score_sparsity_weight = ctx.config().score_sparsity;
-  InterpretationConfig interpret_config;
-  interpret_config.keep_adjacency_snapshots = false;
-  CfgExplainer explainer(gnn, train_config, interpret_config);
+  CfgExplainer explainer(gnn, train_config);
   explainer.fit(ctx.corpus(), ctx.split().train);
 
   EvaluationConfig eval_config;

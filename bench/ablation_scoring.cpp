@@ -29,9 +29,7 @@ CfgExplainer make_variant(BenchContext& ctx, double sparsity,
   train_config.epochs = ctx.config().explainer_epochs;
   train_config.score_sparsity_weight = sparsity;
   train_config.validation_fraction = validation_fraction;
-  InterpretationConfig interpret_config;
-  interpret_config.keep_adjacency_snapshots = false;
-  CfgExplainer variant(ctx.gnn(), train_config, interpret_config);
+  CfgExplainer variant(ctx.gnn(), train_config);
   variant.fit(ctx.corpus(), ctx.split().train);
   return variant;
 }

@@ -47,10 +47,8 @@ int main(int argc, char** argv) {
     train_config.epochs = ctx.config().explainer_epochs;
     train_config.score_sparsity_weight = ctx.config().score_sparsity;
     train_config.sample_seed = seed * 31 + 1;
-    InterpretationConfig interpret_config;
-    interpret_config.keep_adjacency_snapshots = false;
-    auto explainer = std::make_unique<CfgExplainer>(ctx.gnn(), train_config,
-                                                    interpret_config, seed);
+    auto explainer = std::make_unique<CfgExplainer>(
+        ctx.gnn(), train_config, InterpretationConfig{}, seed);
     explainer->fit(ctx.corpus(), ctx.split().train);
 
     EvaluationConfig eval_config;

@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
     Interpreter interpreter(explainer.model(), gnn);
     InterpretationConfig config;
     config.step_size_percent = step;
-    config.keep_adjacency_snapshots = false;
 
     DurationStats timing;
     std::vector<double> fractions;
@@ -49,16 +48,13 @@ int main(int argc, char** argv) {
       timing.add(watch.elapsed_seconds());
       ++samples;
 
-      const Matrix adjacency = graph.dense_adjacency();
       for (std::size_t g = 0; g < fractions.size(); ++g) {
         const std::size_t k =
             nodes_for_fraction(graph.num_nodes(), fractions[g]);
         std::vector<std::uint32_t> kept(
             result.ordered_nodes.begin(),
             result.ordered_nodes.begin() + static_cast<std::ptrdiff_t>(k));
-        const MaskedGraph masked = keep_only(adjacency, graph.features(), kept);
-        const Prediction prediction =
-            gnn.predict_masked(masked.adjacency, masked.features);
+        const Prediction prediction = gnn.predict(masked_subgraph(graph, kept));
         if (static_cast<int>(prediction.predicted_class) == graph.label()) {
           correct[g] += 1.0;
         }
@@ -67,11 +63,9 @@ int main(int argc, char** argv) {
       std::vector<std::uint32_t> kept20(
           result.ordered_nodes.begin(),
           result.ordered_nodes.begin() + static_cast<std::ptrdiff_t>(k20));
-      const MaskedGraph masked20 =
-          keep_only(adjacency, graph.features(), kept20);
       if (static_cast<int>(
-              gnn.predict_masked(masked20.adjacency, masked20.features)
-                  .predicted_class) == graph.label()) {
+              gnn.predict(masked_subgraph(graph, kept20)).predicted_class) ==
+          graph.label()) {
         acc20 += 1.0;
       }
     }

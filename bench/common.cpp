@@ -200,7 +200,6 @@ CfgExplainer& BenchContext::cfg_explainer() {
     train_config.score_sparsity_weight = config_.score_sparsity;
     InterpretationConfig interpret_config;
     interpret_config.step_size_percent = config_.step_size_percent;
-    interpret_config.keep_adjacency_snapshots = false;
     cfg_explainer_ = std::make_unique<CfgExplainer>(gnn(), train_config,
                                                     interpret_config);
     const std::string path = cache_path("theta.bin");

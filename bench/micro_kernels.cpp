@@ -55,18 +55,40 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   return m;
 }
 
-// Adjacency at typical CFG edge density: a fallthrough chain plus sparse
-// branch/call edges, ~2 out-edges per basic block regardless of n.
-Matrix cfg_adjacency(std::size_t n, Rng& rng) {
-  Matrix a(n, n);
-  for (std::size_t i = 0; i + 1 < n; ++i) a(i, i + 1) = 1.0;
+// A graph at typical CFG edge density: a fallthrough chain plus sparse
+// branch edges, ~2 out-edges per basic block regardless of n.
+Acfg cfg_graph(std::size_t n, Rng& rng) {
+  std::vector<Edge> edges;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    edges.push_back({static_cast<std::uint32_t>(i),
+                     static_cast<std::uint32_t>(i + 1), EdgeKind::Flow});
+  }
   const double p = 1.0 / static_cast<double>(n);  // ~1 extra edge per node
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      if (i != j && rng.bernoulli(p)) a(i, j) = 1.0;
+      if (i != j && rng.bernoulli(p) && j != i + 1) {
+        edges.push_back({static_cast<std::uint32_t>(i),
+                         static_cast<std::uint32_t>(j), EdgeKind::Flow});
+      }
     }
   }
-  return a;
+  Acfg graph(static_cast<std::uint32_t>(n));
+  graph.set_edges(std::move(edges));
+  return graph;
+}
+
+// The normalized adjacency of cfg_graph(n, rng).
+CsrMatrix cfg_a_hat(std::size_t n, Rng& rng) {
+  return MaskedNormalizedAdjacency(cfg_graph(n, rng)).a_hat();
+}
+
+// The normalized adjacency of an n-block fallthrough chain.
+CsrMatrix chain_a_hat(std::size_t n) {
+  Acfg chain(static_cast<std::uint32_t>(n));
+  for (std::uint32_t i = 0; i + 1 < n; ++i) {
+    chain.add_edge(i, i + 1, EdgeKind::Flow);
+  }
+  return MaskedNormalizedAdjacency(chain).a_hat();
 }
 
 ThreadPool& kernel_pool() {
@@ -123,38 +145,14 @@ void BM_MatmulInto(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulInto)->Arg(64)->Arg(128)->Arg(256);
 
-// --- dense vs CSR vs parallel on the GCN hot-path product A_hat * H ---
+// --- serial vs parallel CSR on the GCN hot-path product A_hat * H ---
 // Same normalized CFG-density adjacency and feature width (64) in all
-// variants so the reported times are directly comparable; the acceptance
-// bar is >= 2x for CSR over dense matmul at n = 256.
-
-void BM_AdjacencyMatmulDense(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(11);
-  const Matrix a_hat = normalized_adjacency(cfg_adjacency(n, rng));
-  const Matrix h = random_matrix(n, 64, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matmul(a_hat, h));
-  }
-}
-BENCHMARK(BM_AdjacencyMatmulDense)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_AdjacencyMatmulDenseParallel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(11);
-  const Matrix a_hat = normalized_adjacency(cfg_adjacency(n, rng));
-  const Matrix h = random_matrix(n, 64, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matmul_parallel(a_hat, h, kernel_pool()));
-  }
-}
-BENCHMARK(BM_AdjacencyMatmulDenseParallel)->Arg(64)->Arg(128)->Arg(256);
+// variants so the reported times are directly comparable.
 
 void BM_AdjacencySpmmCsr(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
-  const CsrMatrix a_hat =
-      CsrMatrix::from_dense(normalized_adjacency(cfg_adjacency(n, rng)));
+  const CsrMatrix a_hat = cfg_a_hat(n, rng);
   const Matrix h = random_matrix(n, 64, rng);
   state.counters["density"] = a_hat.density();
   for (auto _ : state) {
@@ -166,8 +164,7 @@ BENCHMARK(BM_AdjacencySpmmCsr)->Arg(64)->Arg(128)->Arg(256);
 void BM_AdjacencySpmmCsrParallel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
-  const CsrMatrix a_hat =
-      CsrMatrix::from_dense(normalized_adjacency(cfg_adjacency(n, rng)));
+  const CsrMatrix a_hat = cfg_a_hat(n, rng);
   const Matrix h = random_matrix(n, 64, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(spmm(a_hat, h, &kernel_pool()));
@@ -178,8 +175,7 @@ BENCHMARK(BM_AdjacencySpmmCsrParallel)->Arg(64)->Arg(128)->Arg(256);
 void BM_AdjacencySpmmCsrInto(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
-  const CsrMatrix a_hat =
-      CsrMatrix::from_dense(normalized_adjacency(cfg_adjacency(n, rng)));
+  const CsrMatrix a_hat = cfg_a_hat(n, rng);
   const Matrix h = random_matrix(n, 64, rng);
   Matrix out;
   for (auto _ : state) {
@@ -192,8 +188,7 @@ BENCHMARK(BM_AdjacencySpmmCsrInto)->Arg(64)->Arg(128)->Arg(256);
 void BM_AdjacencySpmmTransposeCsr(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
-  const CsrMatrix a_hat =
-      CsrMatrix::from_dense(normalized_adjacency(cfg_adjacency(n, rng)));
+  const CsrMatrix a_hat = cfg_a_hat(n, rng);
   const Matrix g = random_matrix(n, 64, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(spmm_transpose_a(a_hat, g));
@@ -201,23 +196,11 @@ void BM_AdjacencySpmmTransposeCsr(benchmark::State& state) {
 }
 BENCHMARK(BM_AdjacencySpmmTransposeCsr)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_CsrFromDense(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(11);
-  const Matrix a_hat = normalized_adjacency(cfg_adjacency(n, rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CsrMatrix::from_dense(a_hat));
-  }
-}
-BENCHMARK(BM_CsrFromDense)->Arg(64)->Arg(128)->Arg(256);
-
 void BM_GcnLayerForwardCsr(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
   GcnLayer layer(12, 64, rng);
-  Matrix a(n, n);
-  for (std::size_t i = 0; i + 1 < n; ++i) a(i, i + 1) = 1.0;
-  const CsrMatrix a_hat = CsrMatrix::from_dense(normalized_adjacency(a));
+  const CsrMatrix a_hat = chain_a_hat(n);
   const Matrix h = random_matrix(n, 12, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(layer.infer(a_hat, h));
@@ -229,9 +212,7 @@ void BM_GcnLayerInferIntoCsr(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
   GcnLayer layer(12, 64, rng);
-  Matrix a(n, n);
-  for (std::size_t i = 0; i + 1 < n; ++i) a(i, i + 1) = 1.0;
-  const CsrMatrix a_hat = CsrMatrix::from_dense(normalized_adjacency(a));
+  const CsrMatrix a_hat = chain_a_hat(n);
   const Matrix h = random_matrix(n, 12, rng);
   Matrix out;
   for (auto _ : state) {
@@ -244,39 +225,18 @@ BENCHMARK(BM_GcnLayerInferIntoCsr)->Arg(64)->Arg(128)->Arg(256);
 void BM_NormalizedAdjacency(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
-  Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i != j && rng.bernoulli(0.05)) a(i, j) = 1.0;
-    }
-  }
+  const Acfg graph = cfg_graph(n, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(normalized_adjacency(a));
+    benchmark::DoNotOptimize(MaskedNormalizedAdjacency(graph));
   }
 }
 BENCHMARK(BM_NormalizedAdjacency)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_GcnLayerForward(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  GcnLayer layer(12, 64, rng);
-  Matrix a(n, n);
-  for (std::size_t i = 0; i + 1 < n; ++i) a(i, i + 1) = 1.0;
-  const Matrix a_hat = normalized_adjacency(a);
-  const Matrix h = random_matrix(n, 12, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(layer.infer(a_hat, h));
-  }
-}
-BENCHMARK(BM_GcnLayerForward)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_GcnLayerBackward(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
   GcnLayer layer(12, 64, rng);
-  Matrix a(n, n);
-  for (std::size_t i = 0; i + 1 < n; ++i) a(i, i + 1) = 1.0;
-  const Matrix a_hat = normalized_adjacency(a);
+  const CsrMatrix a_hat = chain_a_hat(n);
   const Matrix h = random_matrix(n, 12, rng);
   const Matrix grad = random_matrix(n, 64, rng);
   layer.forward(a_hat, h);
@@ -292,12 +252,10 @@ struct ModelFixture {
   ModelFixture() : rng(5), gnn(GnnConfig{}, rng) {
     Rng graph_rng(99);
     graph = generate_acfg(Family::Rbot, graph_rng);
-    adjacency = graph.dense_adjacency();
   }
   Rng rng;
   GnnClassifier gnn;
   Acfg graph;
-  Matrix adjacency;
 };
 
 ModelFixture& fixture() {
@@ -308,19 +266,18 @@ ModelFixture& fixture() {
 void BM_GnnEmbed(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.gnn.embed(f.adjacency, f.graph.features()));
+    benchmark::DoNotOptimize(f.gnn.embed(f.graph));
   }
 }
 BENCHMARK(BM_GnnEmbed);
 
-void BM_GnnPredictMasked(benchmark::State& state) {
+void BM_GnnPredict(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        f.gnn.predict_masked(f.adjacency, f.graph.features()));
+    benchmark::DoNotOptimize(f.gnn.predict(f.graph));
   }
 }
-BENCHMARK(BM_GnnPredictMasked);
+BENCHMARK(BM_GnnPredict);
 
 void BM_AlgorithmTwoInterpretation(benchmark::State& state) {
   auto& f = fixture();
@@ -330,10 +287,8 @@ void BM_AlgorithmTwoInterpretation(benchmark::State& state) {
   config.num_classes = f.gnn.config().num_classes;
   ExplainerModel theta(config, model_rng);
   Interpreter interpreter(theta, f.gnn);
-  InterpretationConfig interpret_config;
-  interpret_config.keep_adjacency_snapshots = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(interpreter.interpret(f.graph, interpret_config));
+    benchmark::DoNotOptimize(interpreter.interpret(f.graph));
   }
 }
 BENCHMARK(BM_AlgorithmTwoInterpretation);
@@ -447,8 +402,7 @@ int run_kernels_baseline(const std::string& out_path) {
     const Matrix a = random_matrix(n, n, rng);
     const Matrix b = random_matrix(n, 64, rng);
     Rng adj_rng(11);
-    const CsrMatrix a_hat = CsrMatrix::from_dense(
-        normalized_adjacency(cfg_adjacency(n, adj_rng)));
+    const CsrMatrix a_hat = cfg_a_hat(n, adj_rng);
     const Matrix h = random_matrix(n, 64, adj_rng);
     Rng layer_rng(3);
     GcnLayer layer(64, 64, layer_rng);

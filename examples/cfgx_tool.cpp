@@ -153,7 +153,6 @@ int cmd_explain(const CliArgs& args) {
   InterpretationConfig config;
   config.step_size_percent =
       static_cast<unsigned>(args.get_int("step", 10));
-  config.keep_adjacency_snapshots = false;
   const Interpretation result = interpreter.interpret(graph, config);
 
   const double top_fraction = args.get_double("top-frac", 0.2);
@@ -184,9 +183,7 @@ int cmd_eval(const CliArgs& args) {
       GnnClassifier::load_file(require_flag(args, "gnn"));
 
   ExplainerTrainConfig unused_train;
-  InterpretationConfig interpret_config;
-  interpret_config.keep_adjacency_snapshots = false;
-  CfgExplainer explainer(gnn, unused_train, interpret_config);
+  CfgExplainer explainer(gnn, unused_train);
   explainer.load_model_file(require_flag(args, "theta"));
 
   EvaluationConfig config;

@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
   run(pg_explainer);
 
   // Per-size retention of the GNN's prediction.
-  const Matrix adjacency = graph->dense_adjacency();
   const auto truth = static_cast<int>(graph->label());
   TextTable retention({"size", entries[0].name, entries[1].name,
                        entries[2].name, entries[3].name},
@@ -120,9 +119,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{std::to_string(size) + "%"};
     for (const Entry& entry : entries) {
       const auto kept = entry.ranking.top_fraction(size / 100.0);
-      const MaskedGraph masked =
-          keep_only(adjacency, graph->features(), kept);
-      const Prediction p = gnn.predict_masked(masked.adjacency, masked.features);
+      const Prediction p = gnn.predict(masked_subgraph(*graph, kept));
       row.push_back(static_cast<int>(p.predicted_class) == truth ? "hit"
                                                                  : "miss");
     }

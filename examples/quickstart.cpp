@@ -77,10 +77,8 @@ int main(int argc, char** argv) {
   const auto top20 = interpretation.subgraph_nodes.size() > 1
                          ? interpretation.subgraph_nodes[1]
                          : interpretation.subgraph_nodes[0];
-  const MaskedGraph masked =
-      keep_only(graph.dense_adjacency(), graph.features(), top20);
   const Prediction pruned_prediction =
-      gnn.predict_masked(masked.adjacency, masked.features);
+      gnn.predict(masked_subgraph(graph, top20));
   std::printf("top-20%% subgraph (%zu nodes) predicted as %s (true: %s)\n",
               top20.size(),
               to_string(family_from_label(

@@ -46,13 +46,9 @@ Interpretation Interpreter::interpret(const Acfg& graph,
 
   // The masked graph lives as an incrementally-renormalized CSR: pruning a
   // node zeroes its edge values in place and re-normalizes only the touched
-  // rows, so the per-iteration cost tracks surviving edges instead of the
-  // O(N^2) densify + renormalize of the previous implementation. The dense
-  // adjacency working copy is kept only when snapshots are requested.
+  // rows, so the per-iteration cost tracks surviving edges.
   Matrix features = graph.features();
-  MaskedNormalizedAdjacency masked(graph);  // edge-list ctor, no densify
-  Matrix adjacency;  // dense mirror, snapshot path only
-  if (config.keep_adjacency_snapshots) adjacency = graph.dense_adjacency();
+  MaskedNormalizedAdjacency masked(graph);
 
   Interpretation result;
   result.step_size_percent = step;
@@ -84,9 +80,6 @@ Interpretation Interpreter::interpret(const Acfg& graph,
     // graph_size runs 100, 100-step, ..., step (Algorithm 2 line 4).
     // Snapshot the current subgraph (line 5).
     result.subgraph_nodes.push_back(remaining);
-    if (config.keep_adjacency_snapshots) {
-      result.subgraph_adjacencies.push_back(adjacency);
-    }
 
     // Re-embed and re-score the masked graph (lines 6-7).
     {
@@ -120,12 +113,6 @@ Interpretation Interpreter::interpret(const Acfg& graph,
       for (std::size_t c = 0; c < features.cols(); ++c) {
         features(victim, c) = 0.0;
       }
-      if (config.keep_adjacency_snapshots) {
-        for (std::size_t j = 0; j < adjacency.cols(); ++j) {
-          adjacency(victim, j) = 0.0;
-          adjacency(j, victim) = 0.0;
-        }
-      }
     }
     {
       obs::ScopedDurationTimer renorm_timer(renorm_seconds);
@@ -142,8 +129,6 @@ Interpretation Interpreter::interpret(const Acfg& graph,
 
   // Line 20: smallest subgraph first.
   std::reverse(result.subgraph_nodes.begin(), result.subgraph_nodes.end());
-  std::reverse(result.subgraph_adjacencies.begin(),
-               result.subgraph_adjacencies.end());
   return result;
 }
 

@@ -4,9 +4,9 @@
 // re-embedded by the frozen GNN, re-scored by Theta_s, and the
 // lowest-scoring surviving nodes are masked out (adjacency row+column and
 // feature row zeroed — DESIGN.md decision 3). The removal order, reversed,
-// is the node importance ranking; the retained adjacency snapshots,
-// reversed, are the subgraph sequence from smallest (top step_size% nodes)
-// to the full graph.
+// is the node importance ranking; the retained node sets, reversed, are the
+// subgraph sequence from smallest (top step_size% nodes) to the full graph
+// (masked_subgraph in graph/ops.hpp rebuilds any of them).
 #pragma once
 
 #include <cstdint>
@@ -22,9 +22,6 @@ struct InterpretationConfig {
   // Percentage of the graph pruned per iteration; must divide 100
   // (Algorithm 2 precondition: 100 % step_size == 0).
   unsigned step_size_percent = 10;
-  // When false, only node sets are returned and the (N x N) adjacency
-  // snapshots are skipped — the evaluation harness re-masks on demand.
-  bool keep_adjacency_snapshots = true;
 };
 
 struct Interpretation {
@@ -34,8 +31,6 @@ struct Interpretation {
   // the subgraph with (k+1)*step_size% of the graph; the last entry is the
   // full node set.
   std::vector<std::vector<std::uint32_t>> subgraph_nodes;
-  // Matching adjacency snapshots (smallest first), empty when disabled.
-  std::vector<Matrix> subgraph_adjacencies;
   unsigned step_size_percent = 10;
 };
 

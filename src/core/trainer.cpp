@@ -34,10 +34,7 @@ double validation_retention(const ExplainerModel& model,
     for (std::uint32_t j = 0; j < graph.num_nodes(); ++j) scores[j] = psi(j, 0);
     const auto kept =
         top_k_nodes(scores, nodes_for_fraction(graph.num_nodes(), 0.2));
-    const MaskedGraph masked =
-        keep_only(graph.dense_adjacency(), graph.features(), kept);
-    const Prediction prediction =
-        gnn.predict_masked(masked.adjacency, masked.features);
+    const Prediction prediction = gnn.predict(masked_subgraph(graph, kept));
     if (prediction.predicted_class == gnn_labels[k]) ++retained;
   }
   return static_cast<double>(retained) / static_cast<double>(indices.size());
@@ -90,7 +87,7 @@ ExplainerTrainResult train_explainer(
     labels.reserve(indices.size());
     for (std::size_t index : indices) {
       const Acfg& graph = corpus.graph(index);
-      Matrix z = gnn.embed(graph.dense_adjacency(), graph.features());
+      Matrix z = gnn.embed(graph);
       labels.push_back(argmax_rows(gnn.class_logits(z))[0]);
       embeddings.push_back(std::move(z));
     }

@@ -18,7 +18,7 @@ class CfgExplainer : public Explainer {
   // `gnn` is borrowed and must outlive the explainer. Theta starts from a
   // random initialization drawn from `init_seed`; fit() trains it.
   CfgExplainer(const GnnClassifier& gnn, ExplainerTrainConfig train_config = {},
-               InterpretationConfig interpret_config = {.keep_adjacency_snapshots = false},
+               InterpretationConfig interpret_config = {},
                std::uint64_t init_seed = 99);
 
   // Adopts an already-trained Theta, shared read-only with every other
@@ -28,7 +28,7 @@ class CfgExplainer : public Explainer {
   // match the GNN's dims.
   CfgExplainer(const GnnClassifier& gnn,
                std::shared_ptr<const ExplainerModel> theta,
-               InterpretationConfig interpret_config = {.keep_adjacency_snapshots = false});
+               InterpretationConfig interpret_config = {});
 
   std::string name() const override { return "CFGExplainer"; }
 
@@ -55,7 +55,7 @@ class CfgExplainer : public Explainer {
   // Theta and marks the explainer fitted. Validates dims against the GNN.
   void set_model(ExplainerModel model);
 
-  // Full Algorithm-2 output (subgraph node sets / adjacencies) for callers
+  // Full Algorithm-2 output (ranking and subgraph node sets) for callers
   // that need more than the ranking (Table V qualitative analysis).
   Interpretation interpret(const Acfg& graph) const;
 

@@ -111,9 +111,8 @@ ExplainerEvaluation evaluate_explainer(
     if (tally.correct.empty()) tally.correct.assign(grid, 0);
     ++tally.samples;
 
-    // masked_subgraph + the sparse predict() path is bit-identical to
-    // keep_only + predict_masked (ops.hpp) without ever densifying —
-    // essential once graphs reach the paper's 7352 nodes.
+    // masked_subgraph + predict() never densifies (ops.hpp) — essential
+    // once graphs reach the paper's 7352 nodes.
     for (std::size_t g = 0; g < grid; ++g) {
       const auto kept = ranking.top_fraction(fractions[g]);
       const Prediction prediction = gnn.predict(masked_subgraph(graph, kept));

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "graph/ops.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "obs/trace.hpp"
@@ -34,12 +35,10 @@ GnnExplainer::GnnExplainer(const GnnClassifier& gnn, GnnExplainerConfig config)
 NodeRanking GnnExplainer::explain(const Acfg& graph) {
   const std::size_t num_edges = graph.num_edges();
   const std::size_t num_features = graph.feature_count();
-  const Matrix base_adjacency = graph.dense_adjacency();
   const Matrix& base_features = graph.features();
 
   // The class the mask must preserve: the GNN's own full-graph prediction.
-  const std::size_t target_class =
-      gnn_.predict_masked(base_adjacency, base_features).predicted_class;
+  const std::size_t target_class = gnn_.predict(graph).predicted_class;
 
   if (num_edges == 0) {
     // Nothing to mask; fall back to index order.
@@ -76,15 +75,13 @@ NodeRanking GnnExplainer::explain(const Acfg& graph) {
     }
   }
 
-  const auto& edges = graph.edges();
+  MaskedNormalizedAdjacency masked(graph);
   obs::TraceSpan optimize_span("gnnexplainer.mask_optimize", "explain");
   for (std::size_t step = 0; step < config_.iterations; ++step) {
     // Masked adjacency: A_e *= sigmoid(m_e).
-    Matrix masked = base_adjacency;
     std::vector<double> gate(num_edges);
     for (std::size_t e = 0; e < num_edges; ++e) {
       gate[e] = stable_sigmoid(mask.value(0, e));
-      masked(edges[e].src, edges[e].dst) = edges[e].weight() * gate[e];
     }
 
     // Masked features: X[:, f] *= sigmoid(fm_f) when enabled.
@@ -101,18 +98,22 @@ NodeRanking GnnExplainer::explain(const Acfg& graph) {
       }
     }
 
+    masked.scale_edges(gate, features);
+
     gnn_.zero_grad();
-    const Matrix logits = gnn_.forward_cached(masked, features);
+    const Matrix logits =
+        gnn_.forward_cached(masked.a_hat(), masked.inv_sqrt_degree(), features);
     const LossResult loss = softmax_cross_entropy(logits, {target_class});
     const auto backward =
         gnn_.backward_cached(loss.grad, /*want_adjacency_grad=*/true);
+    const std::vector<double> edge_grad =
+        masked.edge_gradient(backward.grad_adjacency);
 
     mask.zero_grad();
     for (std::size_t e = 0; e < num_edges; ++e) {
       const double g = gate[e];
       // Prediction term: dL/dA_uv * w_uv * sigma'(m).
-      double grad = backward.grad_adjacency(edges[e].src, edges[e].dst) *
-                    edges[e].weight() * g * (1.0 - g);
+      double grad = edge_grad[e] * g * (1.0 - g);
       grad += regularizer_grad(g, config_.size_weight, config_.entropy_weight);
       mask.grad(0, e) = grad;
     }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "graph/ops.hpp"
 #include "nn/loss.hpp"
 #include "nn/serialize.hpp"
 #include "obs/trace.hpp"
@@ -49,7 +50,7 @@ void PgExplainer::fit(const Corpus& corpus,
 
   // Frozen-GNN precomputation: embeddings, adjacency, edge inputs, target.
   struct Prepared {
-    Matrix adjacency;
+    MaskedNormalizedAdjacency adjacency;
     Matrix edge_in;
     const Acfg* graph;
     std::size_t target;
@@ -59,13 +60,10 @@ void PgExplainer::fit(const Corpus& corpus,
   for (std::size_t index : train_indices) {
     const Acfg& graph = corpus.graph(index);
     if (graph.num_edges() == 0) continue;
-    Prepared p;
-    p.adjacency = graph.dense_adjacency();
-    const Matrix z = gnn_.embed(p.adjacency, graph.features());
-    p.edge_in = edge_inputs(graph, z);
-    p.graph = &graph;
-    p.target = argmax_rows(gnn_.class_logits(z))[0];
-    prepared.push_back(std::move(p));
+    const Matrix z = gnn_.embed(graph);
+    prepared.push_back(Prepared{MaskedNormalizedAdjacency(graph),
+                                edge_inputs(graph, z), &graph,
+                                argmax_rows(gnn_.class_logits(z))[0]});
   }
 
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -80,34 +78,35 @@ void PgExplainer::fit(const Corpus& corpus,
     double epoch_loss = 0.0;
     for (Prepared& p : prepared) {
       const std::size_t num_edges = p.graph->num_edges();
-      const auto& edges = p.graph->edges();
 
       predictor_.zero_grad();
       const Matrix omega = predictor_.forward(p.edge_in);  // [E, 1]
 
       // Concrete / Gumbel-sigmoid gates.
       std::vector<double> gate(num_edges), dgate_domega(num_edges);
-      Matrix masked = p.adjacency;
       for (std::size_t e = 0; e < num_edges; ++e) {
         const double u = rng_.uniform(1e-6, 1.0 - 1e-6);
         const double noise = std::log(u) - std::log(1.0 - u);
         const double pre = (omega(e, 0) + noise) / temperature;
         gate[e] = stable_sigmoid(pre);
         dgate_domega[e] = gate[e] * (1.0 - gate[e]) / temperature;
-        masked(edges[e].src, edges[e].dst) = edges[e].weight() * gate[e];
       }
+      MaskedNormalizedAdjacency& masked = p.adjacency;
+      masked.scale_edges(gate, p.graph->features());
 
       gnn_.zero_grad();
-      const Matrix logits = gnn_.forward_cached(masked, p.graph->features());
+      const Matrix logits = gnn_.forward_cached(
+          masked.a_hat(), masked.inv_sqrt_degree(), p.graph->features());
       const LossResult loss = softmax_cross_entropy(logits, {p.target});
       epoch_loss += loss.value;
       const auto backward =
           gnn_.backward_cached(loss.grad, /*want_adjacency_grad=*/true);
+      const std::vector<double> edge_grad =
+          masked.edge_gradient(backward.grad_adjacency);
 
       Matrix grad_omega(num_edges, 1);
       for (std::size_t e = 0; e < num_edges; ++e) {
-        double grad = backward.grad_adjacency(edges[e].src, edges[e].dst) *
-                      edges[e].weight() * dgate_domega[e];
+        double grad = edge_grad[e] * dgate_domega[e];
         grad += config_.size_weight * dgate_domega[e];
         const double g = gate[e];
         const double eps = 1e-12;
@@ -135,7 +134,7 @@ void PgExplainer::load_file(const std::string& path) {
 }
 
 std::vector<double> PgExplainer::edge_scores(const Acfg& graph) {
-  const Matrix z = gnn_.embed(graph.dense_adjacency(), graph.features());
+  const Matrix z = gnn_.embed(graph);
   if (graph.num_edges() == 0) return {};
   const Matrix omega = predictor_.forward(edge_inputs(graph, z));
   std::vector<double> scores(graph.num_edges());

@@ -34,13 +34,11 @@ class Search {
       : gnn_(gnn),
         graph_(graph),
         config_(config),
-        adjacency_(graph.dense_adjacency()),
         rng_(config.seed ^
              (graph.num_nodes() * 0x9e3779b97f4a7c15ULL) ^
              graph.num_edges()) {
     // Target class: the GNN's prediction on the full graph.
-    target_class_ = gnn_.predict_masked(adjacency_, graph_.features())
-                        .predicted_class;
+    target_class_ = gnn_.predict(graph_).predicted_class;
     ++evaluations_;
 
     const auto n = graph.num_nodes();
@@ -70,8 +68,7 @@ class Search {
   // P(target | keep set) via the frozen GNN.
   double value_of(const NodeSet& kept) {
     ++evaluations_;
-    const MaskedGraph masked = keep_only(adjacency_, graph_.features(), kept);
-    return gnn_.predict_masked(masked.adjacency, masked.features)
+    return gnn_.predict(masked_subgraph(graph_, kept))
         .probabilities(0, target_class_);
   }
 
@@ -222,7 +219,6 @@ class Search {
   const GnnClassifier& gnn_;
   const Acfg& graph_;
   const SubgraphXConfig& config_;
-  Matrix adjacency_;
   Rng rng_;
   std::size_t target_class_ = 0;
   std::size_t min_size_ = 1;

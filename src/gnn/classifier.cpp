@@ -119,21 +119,12 @@ Matrix GnnClassifier::pool(const Matrix& embeddings,
   return pooled;
 }
 
-Matrix GnnClassifier::embed(const Matrix& adjacency,
-                            const Matrix& raw_features) const {
-  if (adjacency.rows() != raw_features.rows()) {
-    throw std::invalid_argument("GnnClassifier::embed: node count mismatch");
-  }
+Matrix GnnClassifier::embed(const Acfg& graph) const {
   // Activity (self-loop policy) is judged on the RAW features: a pruned or
   // padded node has an all-zero raw row; scaling happens afterwards.
-  // The normalized adjacency is converted to CSR once and reused by every
-  // layer: CFG adjacencies are >95% zeros and spmm reproduces the dense
-  // matmul exactly (same per-row accumulation order).
-  std::vector<double> inv_sqrt;
-  const CsrMatrix a_hat =
-      normalized_adjacency_csr(adjacency, inv_sqrt, &raw_features);
+  const MaskedNormalizedAdjacency frozen(graph);
   Matrix out;
-  embed_into(a_hat, inv_sqrt, raw_features, out);
+  embed_into(frozen.a_hat(), frozen.inv_sqrt_degree(), graph.features(), out);
   return out;
 }
 
@@ -243,11 +234,9 @@ Matrix GnnClassifier::class_logits(const Matrix& embeddings,
 }
 
 Prediction GnnClassifier::predict(const Acfg& graph) const {
-  // Sparse path: MaskedNormalizedAdjacency(graph) is bit-identical to the
-  // dense normalized_adjacency_csr(dense_adjacency(), features()) pipeline
-  // (see ops.hpp), and the non-zero inv_sqrt count IS the active-node count
-  // under the self-loop policy — so this matches predict_masked(
-  // dense_adjacency(), features()) exactly at O(E log E) instead of O(N^2).
+  // MaskedNormalizedAdjacency(graph) is bit-identical to the dense
+  // normalization (see ops.hpp), and the non-zero inv_sqrt count IS the
+  // active-node count under the self-loop policy.
   const MaskedNormalizedAdjacency frozen(graph);
   Matrix embeddings;
   embed_into(frozen.a_hat(), frozen.inv_sqrt_degree(), graph.features(),
@@ -262,22 +251,17 @@ Prediction GnnClassifier::predict(const Acfg& graph) const {
   return prediction;
 }
 
-Prediction GnnClassifier::predict_masked(const Matrix& adjacency,
-                                         const Matrix& raw_features) const {
-  Prediction prediction;
-  prediction.probabilities = softmax_rows(
-      class_logits(embed(adjacency, raw_features),
-                   count_active_nodes(adjacency, raw_features)));
-  prediction.predicted_class = argmax_rows(prediction.probabilities)[0];
-  return prediction;
-}
-
-Matrix GnnClassifier::forward_cached(const Matrix& adjacency,
+Matrix GnnClassifier::forward_cached(const CsrMatrix& a_hat,
+                                     const std::vector<double>& inv_sqrt,
                                      const Matrix& raw_features) {
-  std::vector<double> inv_sqrt;
-  cached_a_hat_ = normalized_adjacency_csr(adjacency, inv_sqrt, &raw_features);
-  cached_norm_coeffs_ = Matrix::row_vector(inv_sqrt);
-  cached_num_nodes_ = adjacency.rows();
+  const std::size_t n = raw_features.rows();
+  if (a_hat.rows() != n || a_hat.cols() != n || inv_sqrt.size() != n) {
+    throw std::invalid_argument(
+        "GnnClassifier::forward_cached: node count mismatch");
+  }
+  cached_a_hat_ = a_hat;
+  cached_inv_sqrt_ = inv_sqrt;
+  cached_num_nodes_ = n;
   cached_active_.assign(cached_num_nodes_, 0);
   cached_active_count_ = 0;
   for (std::size_t i = 0; i < cached_num_nodes_; ++i) {
@@ -330,10 +314,8 @@ GnnClassifier::BackwardResult GnnClassifier::backward_cached(
     }
   }
 
-  Matrix grad_a_hat;
-  if (want_adjacency_grad) {
-    grad_a_hat = Matrix(cached_num_nodes_, cached_num_nodes_);
-  }
+  std::vector<double> grad_a_hat;
+  if (want_adjacency_grad) grad_a_hat.assign(cached_a_hat_.nnz(), 0.0);
   for (auto it = gcn_layers_.rbegin(); it != gcn_layers_.rend(); ++it) {
     grad_h = it->backward(grad_h, want_adjacency_grad ? &grad_a_hat : nullptr);
   }
@@ -343,13 +325,15 @@ GnnClassifier::BackwardResult GnnClassifier::backward_cached(
   if (want_adjacency_grad) {
     // Chain through A_hat_ij = c_i c_j (A_ij + A_ji + I_ij) with the
     // normalization coefficients treated as constants:
-    //   dL/dA_ij = c_i c_j (G_ij + G_ji).
-    result.grad_adjacency = Matrix(cached_num_nodes_, cached_num_nodes_);
+    //   dL/dA_ij = c_i c_j (G_ij + G_ji), G_ji read at the mirror slot.
+    const std::vector<std::size_t> mirror = transpose_slots(cached_a_hat_);
+    const auto& row_ptr = cached_a_hat_.row_ptr();
+    const auto& col_idx = cached_a_hat_.col_idx();
+    result.grad_adjacency.resize(grad_a_hat.size());
     for (std::size_t i = 0; i < cached_num_nodes_; ++i) {
-      for (std::size_t j = 0; j < cached_num_nodes_; ++j) {
-        const double c = cached_norm_coeffs_(0, i) * cached_norm_coeffs_(0, j);
-        result.grad_adjacency(i, j) =
-            c * (grad_a_hat(i, j) + grad_a_hat(j, i));
+      for (std::size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
+        const double c = cached_inv_sqrt_[i] * cached_inv_sqrt_[col_idx[p]];
+        result.grad_adjacency[p] = c * (grad_a_hat[p] + grad_a_hat[mirror[p]]);
       }
     }
   }

@@ -11,8 +11,8 @@
 // prediction through information loss, not through dilution toward the
 // bias prior (DESIGN.md decision 2).
 //
-// Thread-safety: the const inference methods (embed, class_logits, predict,
-// predict_masked) do not mutate state and may run concurrently. The cached
+// Thread-safety: the const inference methods (embed, class_logits, predict)
+// do not mutate state and may run concurrently. The cached
 // training path (forward_cached/backward_cached) is single-threaded; use
 // clone() to hand each worker its own instance when explainers need
 // gradients in parallel.
@@ -76,11 +76,10 @@ class GnnClassifier {
 
   // --- inference (const) ---
 
-  // Node embeddings Z from a dense weighted adjacency + RAW features.
-  // Applies the scaler when fitted, normalizes the adjacency internally.
-  // Rows of inactive (pruned/padded) nodes are zeroed so they contribute
-  // nothing downstream.
-  Matrix embed(const Matrix& adjacency, const Matrix& raw_features) const;
+  // Node embeddings Z of a graph (RAW features; the scaler is applied when
+  // fitted, the adjacency normalized internally). Rows of inactive
+  // (pruned/padded) nodes are zeroed so they contribute nothing downstream.
+  Matrix embed(const Acfg& graph) const;
 
   // Destination-passing embed for callers that already hold the normalized
   // CSR adjacency and its d^{-1/2} vector (the incremental Algorithm-2
@@ -101,20 +100,26 @@ class GnnClassifier {
   Matrix class_logits(const Matrix& embeddings,
                       std::size_t active_count = 0) const;
 
+  // Prediction for a graph; for a masked variant, pass
+  // masked_subgraph(graph, kept) (graph/ops.hpp).
   Prediction predict(const Acfg& graph) const;
-
-  // Prediction for a masked variant of a graph (explainer evaluation).
-  Prediction predict_masked(const Matrix& adjacency,
-                            const Matrix& raw_features) const;
 
   // --- cached training / gradient path ---
 
-  // Forward with caches; input is the dense adjacency + raw features.
+  // Forward with caches over the same (a_hat, inv_sqrt, raw_features)
+  // triple as embed_into — a MaskedNormalizedAdjacency's a_hat() and
+  // inv_sqrt_degree(). A_hat is copied, so it may change after the call.
   // Returns logits [1, num_classes].
-  Matrix forward_cached(const Matrix& adjacency, const Matrix& raw_features);
+  Matrix forward_cached(const CsrMatrix& a_hat,
+                        const std::vector<double>& inv_sqrt,
+                        const Matrix& raw_features);
 
   struct BackwardResult {
-    Matrix grad_adjacency;  // dLoss/dA (raw adjacency), degree held constant
+    // dLoss/dA (raw adjacency) at each stored entry of the forward's A_hat,
+    // in value order, with degrees held constant; empty unless requested.
+    // A_hat's structure must be symmetric (every MaskedNormalizedAdjacency
+    // is).
+    std::vector<double> grad_adjacency;
     // dLoss/dX_scaled: gradient w.r.t. the (scaler-transformed) input
     // features — always produced (it falls out of the layer chain). Chain
     // through the scaler via dX_raw = dX_scaled / stddev when needed.
@@ -124,7 +129,8 @@ class GnnClassifier {
   // Backward from dLoss/dLogits. Accumulates parameter gradients; when
   // want_adjacency_grad is set, also returns dLoss/dA where the
   // normalization coefficients are treated as constants (DESIGN.md
-  // decision 4).
+  // decision 4): c_i c_j (G_ij + G_ji), G = dLoss/dA_hat summed over the
+  // layers, each entry bit-identical to the dense N x N computation.
   BackwardResult backward_cached(const Matrix& grad_logits,
                                  bool want_adjacency_grad = false);
 
@@ -159,10 +165,9 @@ class GnnClassifier {
 
   ThreadPool* kernel_pool_ = nullptr;
 
-  // Training caches. The adjacency is cached in CSR form: every backward
-  // kernel that consumes it is sparse.
+  // Training caches. Every backward kernel that consumes A_hat is sparse.
   CsrMatrix cached_a_hat_;
-  Matrix cached_norm_coeffs_;  // d_i^{-1/2} d_j^{-1/2} factors for dA chain
+  std::vector<double> cached_inv_sqrt_;  // d^{-1/2}, for the dA chain
   Matrix cached_embeddings_;
   std::vector<std::size_t> cached_selection_;  // SortPool permutation
   std::vector<char> cached_active_;

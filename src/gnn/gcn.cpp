@@ -15,11 +15,6 @@ void add_bias_rows_inplace(Matrix& m, const Matrix& bias) {
   }
 }
 
-Matrix add_bias_rows(Matrix m, const Matrix& bias) {
-  add_bias_rows_inplace(m, bias);
-  return m;
-}
-
 // The GCN clamp x < 0 -> +0.0. It clamps strictly negative values only and
 // keeps -0.0 and NaN as-is, unlike std::max(0.0, x); the layer tests and
 // the fused oracle pin this. Written as a bit mask: the signs of GCN
@@ -47,11 +42,6 @@ GcnLayer::GcnLayer(std::size_t in_features, std::size_t out_features, Rng& rng,
                    std::string name)
     : weight_(name + ".W", glorot_uniform(in_features, out_features, rng)),
       bias_(name + ".b", Matrix(1, out_features)) {}
-
-Matrix GcnLayer::infer(const Matrix& a_hat, const Matrix& h) const {
-  return relu(add_bias_rows(matmul(a_hat, matmul(h, weight_.value)),
-                            bias_.value));
-}
 
 Matrix GcnLayer::infer(const CsrMatrix& a_hat, const Matrix& h,
                        ThreadPool* pool) const {
@@ -83,23 +73,9 @@ void GcnLayer::finish_row(double* row) const {
   }
 }
 
-Matrix GcnLayer::forward(const Matrix& a_hat, const Matrix& h) {
-  cached_a_hat_ = a_hat;
-  cached_a_csr_ = CsrMatrix();
-  cached_csr_path_ = false;
-  cached_pool_ = nullptr;
-  cached_h_ = h;
-  cached_hw_ = matmul(h, weight_.value);
-  cached_preactivation_ =
-      add_bias_rows(matmul(a_hat, cached_hw_), bias_.value);
-  return relu(cached_preactivation_);
-}
-
 Matrix GcnLayer::forward(const CsrMatrix& a_hat, const Matrix& h,
                          ThreadPool* pool) {
-  cached_a_hat_ = Matrix();
   cached_a_csr_ = a_hat;
-  cached_csr_path_ = true;
   cached_pool_ = pool;
   cached_h_ = h;
   matmul_into(h, weight_.value, cached_hw_);
@@ -108,7 +84,8 @@ Matrix GcnLayer::forward(const CsrMatrix& a_hat, const Matrix& h,
   return relu(cached_preactivation_);
 }
 
-Matrix GcnLayer::backward(const Matrix& grad_output, Matrix* grad_a_hat) {
+Matrix GcnLayer::backward(const Matrix& grad_output,
+                          std::vector<double>* grad_a_hat) {
   // dP = dZ .* 1[P > 0]
   Matrix grad_pre = grad_output;
   for (std::size_t i = 0; i < grad_pre.size(); ++i) {
@@ -117,22 +94,19 @@ Matrix GcnLayer::backward(const Matrix& grad_output, Matrix* grad_a_hat) {
 
   bias_.grad += grad_pre.col_sums();
 
-  // d(HW) = A_hat^T dP;  dW = H^T d(HW);  dH = d(HW) W^T;  dA = dP (HW)^T.
+  // d(HW) = A_hat^T dP;  dW = H^T d(HW);  dH = d(HW) W^T;
+  // dA = dP (HW)^T at the stored entries of A_hat.
   // Gradients accumulate (+=) into Parameter::grad, so products that feed an
   // accumulation are computed into workspace scratch first.
   Workspace& workspace = Workspace::local();
   Workspace::Lease grad_hw = workspace.acquire(0, 0);
-  if (cached_csr_path_) {
-    spmm_transpose_a_into(cached_a_csr_, grad_pre, grad_hw.get(), cached_pool_);
-  } else {
-    matmul_transpose_a_into(cached_a_hat_, grad_pre, grad_hw.get());
-  }
+  spmm_transpose_a_into(cached_a_csr_, grad_pre, grad_hw.get(), cached_pool_);
   Workspace::Lease scratch = workspace.acquire(0, 0);
   matmul_transpose_a_into(cached_h_, grad_hw.get(), scratch.get());
   weight_.grad += scratch.get();
   if (grad_a_hat != nullptr) {
-    matmul_transpose_b_into(grad_pre, cached_hw_, scratch.get());
-    *grad_a_hat += scratch.get();
+    sddmm_accumulate(cached_a_csr_, grad_pre, cached_hw_, *grad_a_hat,
+                     cached_pool_);
   }
   return matmul_transpose_b(grad_hw.get(), weight_.value);
 }

@@ -5,17 +5,14 @@
 // Forward: Z = ReLU(A_hat * H * W + b), with A_hat the normalized adjacency
 // from graph/ops.hpp.
 //
-// Two execution paths:
+// Two execution paths, both over A_hat in CSR form (CFG adjacencies are
+// >95% zeros; the dense N x N reference lives in the test oracles):
 //   * infer(...) const      — cache-free, safe to call concurrently
 //   * forward(...)/backward — cached training path; backward can also
-//     return dLoss/dA_hat, which GNNExplainer and PGExplainer need to
-//     optimize edge masks through the GNN.
-//
-// Each path accepts A_hat either dense (the reference implementation the
-// tests compare against) or in CSR form (the production fast path — CFG
-// adjacencies are >95% zeros). The CSR overloads take an optional
-// ThreadPool whose workers split the output rows; results are identical to
-// the dense path to the last bit for finite inputs.
+//     return dLoss/dA_hat at the stored entries of A_hat, which GNNExplainer
+//     and PGExplainer need to optimize edge masks through the GNN.
+// Both take an optional ThreadPool whose workers split the output rows;
+// results are identical to the serial run to the last bit.
 #pragma once
 
 #include <string>
@@ -37,8 +34,7 @@ class GcnLayer {
   std::size_t in_features() const { return weight_.value.rows(); }
   std::size_t out_features() const { return weight_.value.cols(); }
 
-  // Cache-free inference (dense reference / CSR fast path).
-  Matrix infer(const Matrix& a_hat, const Matrix& h) const;
+  // Cache-free inference.
   Matrix infer(const CsrMatrix& a_hat, const Matrix& h,
                ThreadPool* pool = nullptr) const;
 
@@ -60,17 +56,17 @@ class GcnLayer {
   void combine_rows(const Matrix& h, Matrix& out, std::size_t rows) const;
   void finish_row(double* row) const;
 
-  // Cached training forward. The CSR overload caches the sparse adjacency
-  // so backward() runs the sparse kernels too.
-  Matrix forward(const Matrix& a_hat, const Matrix& h);
+  // Cached training forward; caches A_hat so backward() runs on it too.
   Matrix forward(const CsrMatrix& a_hat, const Matrix& h,
                  ThreadPool* pool = nullptr);
 
   // Backward from dLoss/dZ. Accumulates dW, db; returns dLoss/dH.
-  // When grad_a_hat != nullptr, also accumulates dLoss/dA_hat into it
-  // (must be pre-sized [N, N]; always dense — the explainers optimize a
-  // dense edge-mask gradient).
-  Matrix backward(const Matrix& grad_output, Matrix* grad_a_hat = nullptr);
+  // When grad_a_hat != nullptr, also accumulates dLoss/dA_hat at the
+  // stored entries of the cached A_hat into it (one entry per stored
+  // value, in value order): the SDDMM dP * (HW)^T sampled at the
+  // structure, each entry bit-identical to the dense product's.
+  Matrix backward(const Matrix& grad_output,
+                  std::vector<double>* grad_a_hat = nullptr);
 
   std::vector<Parameter*> parameters() { return {&weight_, &bias_}; }
   void zero_grad() {
@@ -81,11 +77,8 @@ class GcnLayer {
  private:
   Parameter weight_;
   Parameter bias_;
-  // Caches for backward. Exactly one of cached_a_hat_ / cached_a_csr_ is
-  // populated, per the overload forward() was called with.
-  Matrix cached_a_hat_;
+  // Caches for backward.
   CsrMatrix cached_a_csr_;
-  bool cached_csr_path_ = false;
   ThreadPool* cached_pool_ = nullptr;
   Matrix cached_h_;
   Matrix cached_hw_;             // H * W

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "graph/ops.hpp"
 #include "nn/loss.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -23,14 +24,14 @@ GnnTrainResult train_gnn(GnnClassifier& model, const Corpus& corpus,
   scaler.fit(corpus, train_indices);
   model.set_scaler(std::move(scaler));
 
-  // Pre-materialize dense adjacencies once (graphs are CPU-scale).
-  std::vector<Matrix> adjacencies;
+  // Normalize every training graph once, before the epoch loop.
+  std::vector<MaskedNormalizedAdjacency> adjacencies;
   adjacencies.reserve(train_indices.size());
   std::vector<std::size_t> labels;
   labels.reserve(train_indices.size());
   for (std::size_t index : train_indices) {
     const Acfg& graph = corpus.graph(index);
-    adjacencies.push_back(graph.dense_adjacency());
+    adjacencies.emplace_back(graph);
     labels.push_back(static_cast<std::size_t>(graph.label()));
   }
 
@@ -64,7 +65,8 @@ GnnTrainResult train_gnn(GnnClassifier& model, const Corpus& corpus,
       for (std::size_t k = start; k < end; ++k) {
         const std::size_t i = order[k];
         const Matrix logits = model.forward_cached(
-            adjacencies[i], corpus.graph(train_indices[i]).features());
+            adjacencies[i].a_hat(), adjacencies[i].inv_sqrt_degree(),
+            corpus.graph(train_indices[i]).features());
         LossResult loss = softmax_cross_entropy(logits, {labels[i]});
         batch_loss += loss.value;
         // Scale so the batch gradient is the mean over batch members.

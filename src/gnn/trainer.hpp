@@ -1,6 +1,6 @@
 // Training loop for the GNN classifier: mini-batch Adam over softmax
-// cross-entropy, with per-graph caching of dense adjacencies so the
-// quadratic normalization cost is paid once per graph, not once per epoch.
+// cross-entropy, with each graph's normalized CSR adjacency built once
+// before the epoch loop, not once per epoch.
 #pragma once
 
 #include <cstdint>

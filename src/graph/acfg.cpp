@@ -54,16 +54,6 @@ void Acfg::mark_planted(std::uint32_t node) {
   }
 }
 
-Matrix Acfg::dense_adjacency() const {
-  Matrix a(num_nodes_, num_nodes_);
-  for (const Edge& e : edges_) {
-    // A call edge dominates a coincident flow edge, matching the paper's
-    // single-valued A[i][j] in {0,1,2}.
-    a(e.src, e.dst) = std::max(a(e.src, e.dst), e.weight());
-  }
-  return a;
-}
-
 std::vector<std::uint32_t> Acfg::out_degrees() const {
   std::vector<std::uint32_t> degrees(num_nodes_, 0);
   for (const Edge& e : edges_) ++degrees[e.src];

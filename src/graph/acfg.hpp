@@ -5,9 +5,10 @@
 // adjacency A in {0,1,2}^(N x N)). Node attributes are the 12 Table-I block
 // features.
 //
-// Storage is sparse (edge list + dense feature matrix). Dense adjacency
-// matrices are materialized on demand by the GNN / explainers, which keeps
-// a full corpus resident without the paper's 7352x7352 memory bill.
+// Storage is sparse (edge list + dense feature matrix). The GNN and every
+// explainer read the edge list through the frozen CSR normalization of
+// graph/ops.hpp, so no N x N adjacency is ever built — the paper's
+// 7352x7352 matrix would take 432 MB per copy.
 #pragma once
 
 #include <cstdint>
@@ -81,9 +82,6 @@ class Acfg {
     return planted_nodes_;
   }
   void mark_planted(std::uint32_t node);
-
-  // Dense weighted adjacency A in {0,1,2}^(N x N).
-  Matrix dense_adjacency() const;
 
   // Out-degree counting each edge once regardless of weight (the Table-I
   // "#offspring" feature).

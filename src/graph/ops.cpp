@@ -8,284 +8,123 @@
 
 namespace cfgx {
 
-Matrix normalized_adjacency(const Matrix& adjacency, const Matrix* features) {
-  std::vector<double> unused;
-  return normalized_adjacency(adjacency, unused, features);
-}
-
-Matrix normalized_adjacency(const Matrix& adjacency,
-                            std::vector<double>& inv_sqrt_degree_out,
-                            const Matrix* features) {
-  if (adjacency.rows() != adjacency.cols()) {
-    throw std::invalid_argument("normalized_adjacency: matrix must be square");
-  }
-  const std::size_t n = adjacency.rows();
-  if (features != nullptr && features->rows() != n) {
-    throw std::invalid_argument(
-        "normalized_adjacency: feature/adjacency row mismatch");
-  }
-
-  // S = A + A^T; a node is active (and gets a self-loop) when it has an
-  // incident edge or a non-zero feature row.
-  Matrix s(n, n);
-  std::vector<char> active(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double v = adjacency(i, j) + adjacency(j, i);
-      s(i, j) = v;
-      if (v != 0.0) {
-        active[i] = 1;
-        active[j] = 1;
-      }
-    }
-  }
-  if (features != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (active[i]) continue;
-      for (std::size_t c = 0; c < features->cols(); ++c) {
-        if ((*features)(i, c) != 0.0) {
-          active[i] = 1;
-          break;
-        }
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (active[i]) s(i, i) += 1.0;
-  }
-
-  std::vector<double> inv_sqrt_degree(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double degree = 0.0;
-    for (std::size_t j = 0; j < n; ++j) degree += s(i, j);
-    if (degree > 0.0) inv_sqrt_degree[i] = 1.0 / std::sqrt(degree);
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      s(i, j) *= inv_sqrt_degree[i] * inv_sqrt_degree[j];
-    }
-  }
-  inv_sqrt_degree_out = std::move(inv_sqrt_degree);
-  return s;
-}
-
-CsrMatrix normalized_adjacency_csr(const Matrix& adjacency,
-                                   const Matrix* features) {
-  std::vector<double> unused;
-  return normalized_adjacency_csr(adjacency, unused, features);
-}
-
-CsrMatrix normalized_adjacency_csr(const Matrix& adjacency,
-                                   std::vector<double>& inv_sqrt_degree,
-                                   const Matrix* features) {
-  return CsrMatrix::from_dense(
-      normalized_adjacency(adjacency, inv_sqrt_degree, features));
-}
-
-MaskedNormalizedAdjacency::MaskedNormalizedAdjacency(const Matrix& adjacency,
-                                                     const Matrix& features) {
-  if (adjacency.rows() != adjacency.cols()) {
-    throw std::invalid_argument(
-        "MaskedNormalizedAdjacency: matrix must be square");
-  }
-  const std::size_t n = adjacency.rows();
-  if (features.rows() != n) {
-    throw std::invalid_argument(
-        "MaskedNormalizedAdjacency: feature/adjacency row mismatch");
-  }
-
-  // Mirror the dense normalized_adjacency computation step for step so the
-  // initial values are bit-identical to the reference.
-  Matrix s(n, n);
-  active_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double v = adjacency(i, j) + adjacency(j, i);
-      s(i, j) = v;
-      if (v != 0.0) {
-        active_[i] = 1;
-        active_[j] = 1;
-      }
-    }
-  }
-  feature_active_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < features.cols(); ++c) {
-      if (features(i, c) != 0.0) {
-        feature_active_[i] = 1;
-        break;
-      }
-    }
-    if (feature_active_[i]) active_[i] = 1;
-  }
-
-  // Frozen structure: symmetrized non-zeros plus the full diagonal (the
-  // self-loop slot, even for currently-inactive nodes — activity only ever
-  // decreases, so no entry outside this set can become non-zero later).
-  std::vector<std::size_t> row_ptr(n + 1, 0);
-  std::vector<std::uint32_t> col_idx;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (s(i, j) != 0.0 || i == j) {
-        col_idx.push_back(static_cast<std::uint32_t>(j));
-        s_edge_.push_back(s(i, j));
-      }
-    }
-    row_ptr[i + 1] = col_idx.size();
-  }
-  init_from_structure(n, std::move(row_ptr), std::move(col_idx));
-}
-
 MaskedNormalizedAdjacency::MaskedNormalizedAdjacency(const Acfg& graph) {
   const std::size_t n = graph.num_nodes();
+  const auto& edges = graph.edges();
 
-  // Dense-equivalent directed weights: per ordered pair, a Call edge
-  // dominates a coincident Flow edge (the max accumulation of
-  // Acfg::dense_adjacency).
-  struct Entry {
-    std::uint32_t row, col;
-    double weight;
-  };
-  std::vector<Entry> fwd;
-  fwd.reserve(graph.num_edges());
-  for (const Edge& e : graph.edges()) fwd.push_back({e.src, e.dst, e.weight()});
-  const auto by_row_col = [](const Entry& a, const Entry& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  };
-  std::sort(fwd.begin(), fwd.end(), by_row_col);
-  std::vector<Entry> merged;
-  merged.reserve(fwd.size());
-  for (const Entry& e : fwd) {
-    if (!merged.empty() && merged.back().row == e.row &&
-        merged.back().col == e.col) {
-      merged.back().weight = std::max(merged.back().weight, e.weight);
-    } else {
-      merged.push_back(e);
-    }
-  }
-  std::vector<Entry> rev;  // A^T entries, sorted by (row, col) of A^T
-  rev.reserve(merged.size());
-  for (const Entry& e : merged) rev.push_back({e.col, e.row, e.weight});
-  std::sort(rev.begin(), rev.end(), by_row_col);
-
-  // Per-row merge of A and A^T in ascending column order, diagonal slot
-  // always present. s keeps the dense operand order A(i,j) + A(j,i) with a
-  // literal 0.0 for a missing side.
-  std::vector<std::size_t> fwd_ptr(n + 1, 0), rev_ptr(n + 1, 0);
-  for (const Entry& e : merged) ++fwd_ptr[e.row + 1];
-  for (const Entry& e : rev) ++rev_ptr[e.row + 1];
-  for (std::size_t i = 0; i < n; ++i) {
-    fwd_ptr[i + 1] += fwd_ptr[i];
-    rev_ptr[i + 1] += rev_ptr[i];
-  }
+  // Frozen structure: per row, the diagonal plus the far end of every
+  // incident edge (both orientations), sorted and deduplicated.
   std::vector<std::size_t> row_ptr(n + 1, 0);
-  std::vector<std::uint32_t> col_idx;
-  col_idx.reserve(2 * merged.size() + n);
-  s_edge_.reserve(2 * merged.size() + n);
-  active_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t f = fwd_ptr[i], r = rev_ptr[i];
-    bool saw_diag = false;
-    const auto push = [&](std::uint32_t j, double value) {
-      if (!saw_diag && j >= i) {
-        saw_diag = true;
-        if (j != i) {  // structural diagonal even when A has no self-edge
-          col_idx.push_back(static_cast<std::uint32_t>(i));
-          s_edge_.push_back(0.0);
-        }
-      }
-      col_idx.push_back(j);
-      s_edge_.push_back(value);
-      if (value != 0.0) {
-        active_[i] = 1;
-        active_[j] = 1;
-      }
-    };
-    while (f < fwd_ptr[i + 1] || r < rev_ptr[i + 1]) {
-      const bool has_f = f < fwd_ptr[i + 1];
-      const bool has_r = r < rev_ptr[i + 1];
-      if (has_f && has_r && merged[f].col == rev[r].col) {
-        push(merged[f].col, merged[f].weight + rev[r].weight);
-        ++f;
-        ++r;
-      } else if (has_f && (!has_r || merged[f].col < rev[r].col)) {
-        push(merged[f].col, merged[f].weight + 0.0);
-        ++f;
-      } else {
-        push(rev[r].col, 0.0 + rev[r].weight);
-        ++r;
-      }
-    }
-    if (!saw_diag) {
-      col_idx.push_back(static_cast<std::uint32_t>(i));
-      s_edge_.push_back(0.0);
-    }
-    row_ptr[i + 1] = col_idx.size();
+  for (const Edge& e : edges) {
+    ++row_ptr[e.src + 1];
+    ++row_ptr[e.dst + 1];
   }
+  for (std::size_t i = 0; i < n; ++i) row_ptr[i + 1] += row_ptr[i] + 1;
+  std::vector<std::uint32_t> col_idx(row_ptr[n]);
+  std::vector<std::size_t> fill(row_ptr.begin(), row_ptr.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    col_idx[fill[i]++] = static_cast<std::uint32_t>(i);
+  }
+  for (const Edge& e : edges) {
+    col_idx[fill[e.src]++] = e.dst;
+    col_idx[fill[e.dst]++] = e.src;
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0, begin = 0; i < n; ++i) {
+    const std::size_t end = row_ptr[i + 1];
+    std::sort(col_idx.begin() + static_cast<std::ptrdiff_t>(begin),
+              col_idx.begin() + static_cast<std::ptrdiff_t>(end));
+    row_ptr[i] = kept;
+    for (std::size_t p = begin; p < end; ++p) {
+      if (p == begin || col_idx[p] != col_idx[p - 1]) {
+        col_idx[kept++] = col_idx[p];
+      }
+    }
+    begin = end;
+  }
+  row_ptr[n] = kept;
+  col_idx.resize(kept);
 
-  feature_active_.assign(n, 0);
-  const Matrix& features = graph.features();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < features.cols(); ++c) {
-      if (features(i, c) != 0.0) {
-        feature_active_[i] = 1;
-        break;
-      }
-    }
-    if (feature_active_[i]) active_[i] = 1;
+  edge_slot_.reserve(edges.size());
+  edge_weight_.reserve(edges.size());
+  for (const Edge& e : edges) {
+    const auto row_begin =
+        col_idx.begin() + static_cast<std::ptrdiff_t>(row_ptr[e.src]);
+    const auto row_end =
+        col_idx.begin() + static_cast<std::ptrdiff_t>(row_ptr[e.src + 1]);
+    edge_slot_.push_back(static_cast<std::size_t>(
+        std::lower_bound(row_begin, row_end, e.dst) - col_idx.begin()));
+    edge_weight_.push_back(e.weight());
   }
-  init_from_structure(n, std::move(row_ptr), std::move(col_idx));
+  a_hat_ = CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
+                     std::vector<double>(kept, 0.0));
+  mirror_ = transpose_slots(a_hat_);
+  active_.assign(n, 0);
+  inv_sqrt_.assign(n, 0.0);
+  is_dirty_.assign(n, 0);
+  scale_edges(std::vector<double>(edges.size(), 1.0), graph.features());
 }
 
-void MaskedNormalizedAdjacency::init_from_structure(
-    std::size_t n, std::vector<std::size_t> row_ptr,
-    std::vector<std::uint32_t> col_idx) {
-  // Degrees and d^{-1/2} over the structural entries in ascending column
-  // order — the same partial sums as the dense full-row sum (skipped
-  // entries are true zeros, all weights non-negative), with the self-loop
-  // joining the diagonal weight in the dense path's single `+ 1.0` add.
-  degree_.assign(n, 0.0);
-  inv_sqrt_.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double degree = 0.0;
-    for (std::size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-      double term = s_edge_[p];
-      if (col_idx[p] == i && active_[i]) term = s_edge_[p] + 1.0;
-      degree += term;
-    }
-    degree_[i] = degree;
-    if (degree > 0.0) inv_sqrt_[i] = 1.0 / std::sqrt(degree);
+void MaskedNormalizedAdjacency::scale_edges(const std::vector<double>& scale,
+                                            const Matrix& features) {
+  const std::size_t n = a_hat_.rows();
+  if (scale.size() != edge_slot_.size() || features.rows() != n) {
+    throw std::invalid_argument(
+        "MaskedNormalizedAdjacency::scale_edges: need one scale per edge "
+        "and one feature row per node");
   }
-
-  std::vector<double> values(col_idx.size(), 0.0);
-  diag_pos_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-      const std::uint32_t j = col_idx[p];
-      double sv = s_edge_[p];
-      if (j == i) {
-        diag_pos_[i] = p;
-        if (active_[i]) sv += 1.0;
-      }
-      values[p] = sv * (inv_sqrt_[i] * inv_sqrt_[j]);
+  // Directed weight per slot: the max of its edges' gated weights, ties to
+  // the heavier (call) edge.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  const std::size_t nnz = a_hat_.nnz();
+  std::vector<double> directed(nnz, 0.0);
+  std::vector<std::size_t> setter(nnz, kNone);
+  for (std::size_t e = 0; e < edge_slot_.size(); ++e) {
+    const double v = edge_weight_[e] * scale[e];
+    const std::size_t p = edge_slot_[e];
+    const std::size_t q = setter[p];
+    if (q == kNone || v > directed[p] ||
+        (v == directed[p] && edge_weight_[e] > edge_weight_[q])) {
+      directed[p] = v;
+      setter[p] = e;
     }
   }
-
-  // mirror_[p] = index of the transposed entry; the structure is symmetric
-  // (s is, and the diagonal is complete), so a cursor pass suffices.
-  mirror_.assign(col_idx.size(), 0);
-  std::vector<std::size_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-      mirror_[cursor[col_idx[p]]++] = p;
-    }
+  edge_sets_pair_.resize(edge_slot_.size());
+  for (std::size_t e = 0; e < edge_slot_.size(); ++e) {
+    edge_sets_pair_[e] = setter[edge_slot_[e]] == e ? 1 : 0;
+  }
+  s_edge_.resize(nnz);
+  for (std::size_t p = 0; p < nnz; ++p) {
+    s_edge_[p] = directed[p] + directed[mirror_[p]];
   }
 
+  // Every node is renormalized; refresh() judges activity on the gated s
+  // and the feature rows, as the dense path does.
   alive_.assign(n, 1);
-  is_dirty_.assign(n, 0);
-  a_hat_ = CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
-                     std::move(values));
+  feature_active_.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* row = features.data() + i * features.cols();
+    feature_active_[i] = std::any_of(row, row + features.cols(),
+                                     [](double v) { return v != 0.0; });
+    mark_dirty(static_cast<std::uint32_t>(i));
+  }
+  refresh();
+}
+
+std::vector<double> MaskedNormalizedAdjacency::edge_gradient(
+    const std::vector<double>& grad_adjacency) const {
+  if (grad_adjacency.size() != a_hat_.nnz()) {
+    throw std::invalid_argument(
+        "MaskedNormalizedAdjacency::edge_gradient: need one entry per "
+        "stored value");
+  }
+  std::vector<double> grad(edge_slot_.size(), 0.0);
+  for (std::size_t e = 0; e < grad.size(); ++e) {
+    if (edge_sets_pair_[e]) {
+      grad[e] = grad_adjacency[edge_slot_[e]] * edge_weight_[e];
+    }
+  }
+  return grad;
 }
 
 void MaskedNormalizedAdjacency::mark_dirty(std::uint32_t node) {
@@ -334,7 +173,6 @@ void MaskedNormalizedAdjacency::refresh() {
       if (col_idx[p] == d && act) term = s_edge_[p] + 1.0;
       degree += term;
     }
-    degree_[d] = degree;
     inv_sqrt_[d] = degree > 0.0 ? 1.0 / std::sqrt(degree) : 0.0;
   }
 
@@ -355,26 +193,6 @@ void MaskedNormalizedAdjacency::refresh() {
     is_dirty_[d] = 0;
   }
   dirty_.clear();
-}
-
-std::size_t count_active_nodes(const Matrix& adjacency, const Matrix& features) {
-  if (adjacency.rows() != adjacency.cols() ||
-      adjacency.rows() != features.rows()) {
-    throw std::invalid_argument("count_active_nodes: shape mismatch");
-  }
-  const std::size_t n = adjacency.rows();
-  std::size_t active = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    bool is_active = false;
-    for (std::size_t j = 0; j < n && !is_active; ++j) {
-      if (adjacency(i, j) != 0.0 || adjacency(j, i) != 0.0) is_active = true;
-    }
-    for (std::size_t c = 0; c < features.cols() && !is_active; ++c) {
-      if (features(i, c) != 0.0) is_active = true;
-    }
-    if (is_active) ++active;
-  }
-  return active;
 }
 
 std::size_t count_active_nodes(const Acfg& graph) {
@@ -465,13 +283,12 @@ GraphBatch batch_normalized_graphs(const std::vector<const Acfg*>& graphs) {
 
   std::size_t row_base = 0;
   for (const Acfg* graph : graphs) {
-    const Matrix adjacency = graph->dense_adjacency();
-    std::vector<double> inv_sqrt;
-    per_graph.push_back(
-        normalized_adjacency_csr(adjacency, inv_sqrt, &graph->features()));
+    const MaskedNormalizedAdjacency frozen(*graph);
+    per_graph.push_back(frozen.a_hat());
+    const std::vector<double>& inv_sqrt = frozen.inv_sqrt_degree();
 
     // inv_sqrt is non-zero exactly for active nodes, so its non-zero count
-    // IS count_active_nodes(adjacency, features).
+    // IS count_active_nodes(*graph).
     std::size_t active = 0;
     for (double v : inv_sqrt) {
       if (v != 0.0) ++active;
@@ -494,43 +311,6 @@ GraphBatch batch_normalized_graphs(const std::vector<const Acfg*>& graphs) {
   for (const CsrMatrix& csr : per_graph) ptrs.push_back(&csr);
   batch.a_hat = BatchedCsr::concat(ptrs);
   return batch;
-}
-
-void mask_node(Matrix& adjacency, Matrix& features, std::uint32_t node) {
-  if (node >= adjacency.rows() || adjacency.rows() != adjacency.cols()) {
-    throw std::out_of_range("mask_node: node out of range");
-  }
-  if (features.rows() != adjacency.rows()) {
-    throw std::invalid_argument("mask_node: feature/adjacency row mismatch");
-  }
-  for (std::size_t j = 0; j < adjacency.cols(); ++j) {
-    adjacency(node, j) = 0.0;  // outgoing (Algorithm 2 line 17)
-    adjacency(j, node) = 0.0;  // incoming (Algorithm 2 line 18)
-  }
-  for (std::size_t c = 0; c < features.cols(); ++c) features(node, c) = 0.0;
-}
-
-MaskedGraph keep_only(const Matrix& adjacency, const Matrix& features,
-                      const std::vector<std::uint32_t>& kept) {
-  MaskedGraph out{adjacency, features};
-  std::vector<char> keep(adjacency.rows(), 0);
-  for (std::uint32_t node : kept) {
-    if (node >= adjacency.rows()) {
-      throw std::out_of_range("keep_only: node out of range");
-    }
-    keep[node] = 1;
-  }
-  for (std::uint32_t node = 0; node < adjacency.rows(); ++node) {
-    if (!keep[node]) mask_node(out.adjacency, out.features, node);
-  }
-  return out;
-}
-
-bool node_is_masked(const Matrix& adjacency, std::uint32_t node) {
-  for (std::size_t j = 0; j < adjacency.cols(); ++j) {
-    if (adjacency(node, j) != 0.0 || adjacency(j, node) != 0.0) return false;
-  }
-  return true;
 }
 
 std::vector<std::uint32_t> top_k_nodes(const std::vector<double>& scores,

@@ -1,6 +1,6 @@
-// Graph-matrix operations shared by the GNN and every explainer:
-// adjacency normalization, the node-masking semantics of the paper's
-// Algorithm 2, and subgraph extraction.
+// Graph operations shared by the GNN and every explainer: adjacency
+// normalization (edge list -> frozen CSR), the node-masking semantics of
+// the paper's Algorithm 2, edge gating, and subgraph extraction.
 #pragma once
 
 #include <cstdint>
@@ -14,70 +14,50 @@ namespace cfgx {
 
 // GCN propagation matrix: A_hat = D^{-1/2} (S + I) D^{-1/2} where
 // S = A + A^T symmetrizes the directed weighted adjacency (call edges keep
-// their weight 2) and D is the degree of (S + I).
+// their weight 2) and D is the degree of (S + I). It exists only in the
+// frozen CSR form below; the dense N x N reference lives in the test
+// oracles (DESIGN.md decision 9).
 //
 // Self-loop policy ("pruned == padded", DESIGN.md decision 3): a node
-// receives its self-loop when it is *active* — it has an incident edge or,
-// when `features` is supplied, a non-zero feature row. A pruned or padded
-// node (zero adjacency row+column AND zero features) gets no self-loop and
-// contributes nothing; a surviving node whose neighbours were all pruned
-// keeps its self-loop, so its block features still reach the readout —
-// matching the paper's fixed-N padded GCN, where every real node carries a
-// self-loop even if the explainer disconnected it.
-Matrix normalized_adjacency(const Matrix& adjacency,
-                            const Matrix* features = nullptr);
-
-// As above, but also exports the per-node d^{-1/2} factors (zero for
-// inactive nodes). The classifier's adjacency-gradient chain needs them.
-Matrix normalized_adjacency(const Matrix& adjacency,
-                            std::vector<double>& inv_sqrt_degree,
-                            const Matrix* features = nullptr);
-
-// CSR form of the normalized adjacency, for the sparse GCN hot path. The
-// stored values are bit-identical to the dense normalized_adjacency (same
-// computation, structural zeros dropped), so spmm(csr, H) reproduces
-// matmul(a_hat, H) exactly.
-CsrMatrix normalized_adjacency_csr(const Matrix& adjacency,
-                                   const Matrix* features = nullptr);
-CsrMatrix normalized_adjacency_csr(const Matrix& adjacency,
-                                   std::vector<double>& inv_sqrt_degree,
-                                   const Matrix* features = nullptr);
-
-// Incrementally maskable normalized adjacency for the Algorithm-2 pruning
-// loop. Construction is O(N^2) once (it mirrors normalized_adjacency
-// exactly); each prune() + refresh() then costs O(edges incident to the
-// touched nodes) instead of re-densifying and re-normalizing the whole
-// matrix per iteration.
+// receives its self-loop when it is *active* — it has an incident edge of
+// non-zero weight or a non-zero feature row. A pruned or padded node (no
+// such edge AND zero features) gets no self-loop and contributes nothing;
+// a surviving node whose neighbours were all pruned keeps its self-loop,
+// so its block features still reach the readout — matching the paper's
+// fixed-N padded GCN, where every real node carries a self-loop even if
+// the explainer disconnected it.
 //
-// The CSR structure is frozen at construction: the non-zeros of the
-// symmetrized adjacency plus the full diagonal (the self-loop slot).
-// Pruning zeroes *values* in place — structural entries holding 0.0
-// contribute nothing against finite operands, so spmm over this matrix is
-// bit-identical to spmm over the freshly-built CSR of the masked dense
-// graph (see the structural-zero discussion in nn/sparse.hpp).
+// MaskedNormalizedAdjacency holds A_hat for the Algorithm-2 pruning loop
+// and for the edge-mask explainers. Construction is O(E log E) from the
+// edge list; each prune() + refresh() then costs O(edges incident to the
+// touched nodes), and scale_edges() re-gates every edge in O(N + E).
 //
-// Bit-identity with the dense reference is maintained by recomputation,
-// never by algebraic updates: degrees of touched nodes are RE-SUMMED over
-// their row in column order (FP addition is not invertible, so subtracting
-// a pruned edge's weight would drift), the self-loop enters the sum as the
-// single add `s_ii + 1.0` the dense path performs, and every normalized
-// value uses the dense association v = s * (c_i * c_j). Requires
-// non-negative edge weights (true for ACFGs; needed so zero entries can be
-// skipped in degree sums without disturbing signed-zero accumulation).
+// The CSR structure is frozen at construction: every (src, dst) and
+// (dst, src) pair of an edge plus the full diagonal (the self-loop slot).
+// Pruning or gating zeroes *values* in place — structural entries holding
+// 0.0 contribute nothing against finite operands, so spmm over this matrix
+// is bit-identical to spmm over a CSR that dropped them (see the
+// structural-zero discussion in nn/sparse.hpp).
+//
+// Values are bit-identical to the dense reference (the test oracle that
+// builds S, sums each row in column order and scales every entry):
+//   * the directed weight of a pair is the max of its edges' weights — a
+//     call edge dominates a coincident flow edge, the paper's single-valued
+//     A[i][j] in {0,1,2};
+//   * s uses the dense operand order A(i,j) + A(j,i), a missing side being
+//     a literal 0.0;
+//   * degrees sum the stored entries in ascending column order, with the
+//     self-loop joining the diagonal weight in the dense path's single
+//     `s_ii + 1.0` add — exact versus the dense full-row sum because every
+//     skipped entry is a true zero and all weights are non-negative;
+//   * every value uses the dense association v = s * (c_i * c_j);
+//   * pruning never updates algebraically: degrees of touched nodes are
+//     RE-SUMMED over their row (FP addition is not invertible, so
+//     subtracting a pruned edge's weight would drift).
 class MaskedNormalizedAdjacency {
  public:
-  // `features` participates in the activity test (self-loop policy above),
-  // exactly as normalized_adjacency(adjacency, &features).
-  MaskedNormalizedAdjacency(const Matrix& adjacency, const Matrix& features);
-
-  // O(E log E) construction straight from the edge list, bit-identical to
-  // MaskedNormalizedAdjacency(graph.dense_adjacency(), graph.features()):
-  // symmetrized values use the dense operand order A(i,j) + A(j,i) (with
-  // the same call-dominates-flow max rule), and degree sums walk the
-  // structural non-zeros in ascending column order — exact versus the
-  // dense full-row sum because every skipped entry is a true zero and all
-  // weights are non-negative. This is what makes paper-scale graphs
-  // (N = 7352) affordable: no N x N densification on the explain path.
+  // Normalizes the graph as given: every edge at its full weight, activity
+  // judged on graph.features().
   explicit MaskedNormalizedAdjacency(const Acfg& graph);
 
   // Marks `node` pruned: zeroes its symmetrized edge weights (both
@@ -90,6 +70,26 @@ class MaskedNormalizedAdjacency {
   // node touched since the last refresh. Cost tracks surviving edges.
   void refresh();
 
+  // Re-normalizes the whole graph with edge e's weight scaled by scale[e]
+  // (one entry per graph.edges() entry — the edge-mask gates of
+  // GNNExplainer and PGExplainer), starting over from the constructor's
+  // edge weights: prunes are undone. The directed weight of a pair is
+  // max_e w_e * scale[e] over its edges, and activity is judged on these
+  // gated values and `features` (the features the forward pass sees),
+  // exactly as the dense path judges a gated adjacency. A scale that
+  // underflows to 0.0 keeps its slot, holding 0.0. Throws
+  // std::invalid_argument on a size mismatch.
+  void scale_edges(const std::vector<double>& scale, const Matrix& features);
+
+  // Chains a gradient over the stored values of a_hat() — the
+  // GnnClassifier::BackwardResult::grad_adjacency of a forward on it — to
+  // the edges: entry e is dL/dA(src, dst) * w_e when edge e sets its pair's
+  // value under the last scale_edges() (ties go to the call edge), and 0.0
+  // for an edge its pair's other edge overrides. The product with
+  // d scale_e / d(mask logit) is left to the caller.
+  std::vector<double> edge_gradient(
+      const std::vector<double>& grad_adjacency) const;
+
   const CsrMatrix& a_hat() const noexcept { return a_hat_; }
   const std::vector<double>& inv_sqrt_degree() const noexcept {
     return inv_sqrt_;
@@ -98,27 +98,27 @@ class MaskedNormalizedAdjacency {
   std::size_t num_nodes() const noexcept { return alive_.size(); }
   // Nodes queued for the next refresh() (exposed for tests/metrics).
   std::size_t pending_dirty() const noexcept { return dirty_.size(); }
+  // Index in a_hat().values() of edge e's (src, dst) entry.
+  std::size_t edge_slot(std::size_t e) const { return edge_slot_.at(e); }
 
  private:
   void mark_dirty(std::uint32_t node);
-  // Shared ctor tail: expects s_edge_, active_, feature_active_ filled for
-  // the structure described by (row_ptr, col_idx); computes degrees,
-  // d^{-1/2}, normalized values, mirror/diagonal indices and a_hat_ with
-  // the exact dense operation order.
-  void init_from_structure(std::size_t n, std::vector<std::size_t> row_ptr,
-                           std::vector<std::uint32_t> col_idx);
 
   CsrMatrix a_hat_;
+  // Per edge: its (src, dst) slot, its weight w_e, and whether it set its
+  // pair's value at the last scale_edges().
+  std::vector<std::size_t> edge_slot_;
+  std::vector<double> edge_weight_;
+  std::vector<char> edge_sets_pair_;
   // Symmetrized weights A_ij + A_ji parallel to a_hat_'s values; the
   // diagonal slot stores 2*A_ii WITHOUT the self-loop (activity decides the
-  // +1.0 at refresh time). Zeroed, never rebuilt, as nodes are pruned.
+  // +1.0 at refresh time). Zeroed as nodes are pruned; rewritten only by
+  // scale_edges().
   std::vector<double> s_edge_;
-  std::vector<std::size_t> mirror_;    // index of the transposed entry
-  std::vector<std::size_t> diag_pos_;  // index of (i, i) in row i
+  std::vector<std::size_t> mirror_;  // index of the transposed entry
   std::vector<char> alive_;
   std::vector<char> feature_active_;  // non-zero feature row AND alive
   std::vector<char> active_;          // self-loop policy flag
-  std::vector<double> degree_;
   std::vector<double> inv_sqrt_;
   std::vector<std::uint32_t> dirty_;
   std::vector<char> is_dirty_;
@@ -126,10 +126,7 @@ class MaskedNormalizedAdjacency {
 
 // Number of *active* nodes under the self-loop policy above: nodes with an
 // incident edge or a non-zero feature row. Pruned and padded nodes are
-// inactive. The classifier's readout pools over this count.
-std::size_t count_active_nodes(const Matrix& adjacency, const Matrix& features);
-
-// Edge-list form of the same count (O(N + E), no densification).
+// inactive. The classifier's readout pools over this count. O(N + E).
 std::size_t count_active_nodes(const Acfg& graph);
 
 // Batched normalized inputs for K graphs, ready for one shared forward
@@ -156,30 +153,15 @@ struct GraphBatch {
 // yields an empty batch.
 GraphBatch batch_normalized_graphs(const std::vector<const Acfg*>& graphs);
 
-// Zeroes row + column `node` of the adjacency and the node's feature row
-// (Algorithm 2 lines 17-18, plus the feature zeroing of DESIGN decision 3).
-void mask_node(Matrix& adjacency, Matrix& features, std::uint32_t node);
-
-// Returns a copy of (A, X) with every node NOT in `kept` masked out.
-// Shapes are preserved (masked, not compacted), matching the paper's fixed
-// input-size evaluation of subgraphs.
-struct MaskedGraph {
-  Matrix adjacency;
-  Matrix features;
-};
-MaskedGraph keep_only(const Matrix& adjacency, const Matrix& features,
-                      const std::vector<std::uint32_t>& kept);
-
-// Edge-list counterpart of keep_only: same node count, only edges with
-// BOTH endpoints kept (input order preserved), feature rows of dropped
-// nodes zeroed, label/family carried over. dense_adjacency() of the result
-// equals keep_only(graph.dense_adjacency(), ...).adjacency entry for
-// entry, so predictions on it are bit-identical to the dense masked path —
-// at O(N·F + E) instead of O(N^2). Throws on an out-of-range kept id.
+// The graph with every node NOT in `kept` masked out (Algorithm 2 lines
+// 17-18 plus the feature zeroing of DESIGN decision 3): same node count
+// (masked, not compacted, matching the paper's fixed input-size evaluation
+// of subgraphs), only edges with BOTH endpoints kept (input order
+// preserved), feature rows of dropped nodes zeroed, label/family carried
+// over. predict() on it is bit-identical to the dense oracle that zeroes
+// the dropped rows and columns of the N x N adjacency, at O(N·F + E).
+// Throws on an out-of-range kept id.
 Acfg masked_subgraph(const Acfg& graph, const std::vector<std::uint32_t>& kept);
-
-// True when row `node` and column `node` of `adjacency` are entirely zero.
-bool node_is_masked(const Matrix& adjacency, std::uint32_t node);
 
 // Given node scores (higher = more important) over `num_nodes` real nodes,
 // returns the indices of the `k` top-scoring nodes (ties broken by lower

@@ -241,6 +241,59 @@ Matrix spmm_transpose_a(const CsrMatrix& a, const Matrix& b, ThreadPool* pool) {
   return out;
 }
 
+void sddmm_accumulate(const CsrMatrix& pattern, const Matrix& a,
+                      const Matrix& b, std::vector<double>& out,
+                      ThreadPool* pool) {
+  if (a.rows() != pattern.rows() || b.rows() != pattern.cols() ||
+      a.cols() != b.cols() || out.size() != pattern.nnz()) {
+    throw_spmm_shape("sddmm_accumulate", pattern.rows(), pattern.cols(), b);
+  }
+  const auto& row_ptr = pattern.row_ptr();
+  const auto& col_idx = pattern.col_idx();
+  const std::size_t k_dim = a.cols();
+  parallel_ranges(pool, pattern.rows(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const double* a_row = a.data() + i * k_dim;
+      for (std::size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
+        const double* b_row = b.data() + col_idx[p] * k_dim;
+        double acc = 0.0;
+        for (std::size_t k = 0; k < k_dim; ++k) acc += a_row[k] * b_row[k];
+        out[p] += acc;
+      }
+    }
+  });
+}
+
+std::vector<std::size_t> transpose_slots(const CsrMatrix& a) {
+  const auto& row_ptr = a.row_ptr();
+  const auto& col_idx = a.col_idx();
+  if (a.rows() != a.cols()) {
+    throw std::invalid_argument("transpose_slots: matrix must be square");
+  }
+  // Row i's entries in ascending column order are the column-i entries of
+  // the transpose in ascending row order, so one cursor per row suffices.
+  std::vector<std::size_t> mirror(col_idx.size(), 0);
+  std::vector<std::size_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
+      const std::size_t j = col_idx[p];
+      const std::size_t q = cursor[j]++;
+      if (q >= row_ptr[j + 1] || col_idx[q] != i) {
+        throw std::invalid_argument(
+            "transpose_slots: structure is not symmetric");
+      }
+      mirror[q] = p;
+    }
+  }
+  for (std::size_t j = 0; j < a.rows(); ++j) {
+    if (cursor[j] != row_ptr[j + 1]) {
+      throw std::invalid_argument(
+          "transpose_slots: structure is not symmetric");
+    }
+  }
+  return mirror;
+}
+
 void matmul_parallel_into(const Matrix& a, const Matrix& b, Matrix& out,
                           ThreadPool& pool) {
   if (a.cols() != b.rows()) {

@@ -129,6 +129,22 @@ void spmm_transpose_a_into(const CsrMatrix& a, const Matrix& b, Matrix& out,
 Matrix spmm_transpose_a(const CsrMatrix& a, const Matrix& b,
                         ThreadPool* pool = nullptr);
 
+// Sampled dense-dense product (SDDMM): for every stored entry p = (i, j)
+// of `pattern`, out[p] += sum_k a(i, k) * b(j, k) — A * B^T read only at
+// the structure. Each sum starts from +0.0 in one scalar accumulator over
+// ascending k, the order of matmul_transpose_b_into, so out[p] gains the
+// very bits the dense product holds at (i, j). `out` must have nnz()
+// entries; throws std::invalid_argument on a shape mismatch. With a pool,
+// rows of `pattern` are split across workers (each slot has one writer).
+void sddmm_accumulate(const CsrMatrix& pattern, const Matrix& a,
+                      const Matrix& b, std::vector<double>& out,
+                      ThreadPool* pool = nullptr);
+
+// For every stored entry p = (i, j) of a structurally symmetric square
+// matrix, the index of its transposed entry (j, i). O(nnz). Throws
+// std::invalid_argument when some (i, j) has no stored (j, i).
+std::vector<std::size_t> transpose_slots(const CsrMatrix& a);
+
 // Dense C = A * B with rows of C partitioned across the pool, each worker
 // running the cache-blocked microkernel on its row range. Identical
 // results to matmul(a, b); use for the large dense products (gradient

@@ -411,8 +411,7 @@ void ExplanationEngine::serve_batch(std::vector<Request>& batch) {
     blocks.reserve(live.size());
     for (std::size_t k = 0; k < live.size(); ++k) {
       const Acfg& graph = graph_for(k);
-      // Edge-list construction — bit-identical to the dense path (ops.hpp)
-      // without the O(N^2) densification.
+      // Edge-list construction, bit-identical to the dense oracle (ops.hpp).
       frozen.emplace_back(graph);
       std::size_t active = 0;
       for (double v : frozen.back().inv_sqrt_degree()) {

@@ -8,6 +8,7 @@
 
 #include "dataset/generator.hpp"
 #include "graph/ops.hpp"
+#include "support/dense_oracle.hpp"
 
 namespace cfgx {
 namespace {
@@ -52,7 +53,6 @@ TEST_F(InterpreterTest, SubgraphCountMatchesStepSize) {
   config.step_size_percent = 10;
   const Interpretation result = interpreter.interpret(graph_, config);
   EXPECT_EQ(result.subgraph_nodes.size(), 10u);
-  EXPECT_EQ(result.subgraph_adjacencies.size(), 10u);
 }
 
 TEST_F(InterpreterTest, SubgraphSizesFollowTheGrid) {
@@ -94,29 +94,27 @@ TEST_F(InterpreterTest, SmallestSubgraphIsPrefixOfOrdering) {
   }
 }
 
-TEST_F(InterpreterTest, AdjacencySnapshotsMatchNodeSets) {
+TEST_F(InterpreterTest, SubgraphNodeSetsMaskTheRest) {
+  // Rebuilding a retained subgraph from its node set leaves every dropped
+  // node without edges and features (Algorithm 2 lines 17-18).
   Interpreter interpreter(model_, gnn_);
   const Interpretation result = interpreter.interpret(graph_);
   for (std::size_t k = 0; k < result.subgraph_nodes.size(); ++k) {
-    const Matrix& a = result.subgraph_adjacencies[k];
+    const MaskedGraph masked = keep_only(dense_adjacency(graph_),
+                                         graph_.features(),
+                                         result.subgraph_nodes[k]);
+    const Acfg sub = masked_subgraph(graph_, result.subgraph_nodes[k]);
+    EXPECT_EQ(dense_adjacency(sub), masked.adjacency) << "level " << k;
+    EXPECT_EQ(sub.features(), masked.features) << "level " << k;
     std::set<std::uint32_t> kept(result.subgraph_nodes[k].begin(),
                                  result.subgraph_nodes[k].end());
     for (std::uint32_t v = 0; v < graph_.num_nodes(); ++v) {
       if (!kept.count(v)) {
-        EXPECT_TRUE(node_is_masked(a, v))
+        EXPECT_TRUE(node_is_masked(masked.adjacency, v))
             << "level " << k << " node " << v << " should be masked";
       }
     }
   }
-}
-
-TEST_F(InterpreterTest, SnapshotsCanBeDisabled) {
-  Interpreter interpreter(model_, gnn_);
-  InterpretationConfig config;
-  config.keep_adjacency_snapshots = false;
-  const Interpretation result = interpreter.interpret(graph_, config);
-  EXPECT_TRUE(result.subgraph_adjacencies.empty());
-  EXPECT_EQ(result.subgraph_nodes.size(), 10u);
 }
 
 TEST_F(InterpreterTest, StepSizeValidation) {
@@ -168,7 +166,6 @@ TEST_P(InterpreterStepSize, GridSizesForEveryDivisorStep) {
   Interpreter interpreter(model, gnn);
   InterpretationConfig config;
   config.step_size_percent = GetParam();
-  config.keep_adjacency_snapshots = false;
   const Interpretation result = interpreter.interpret(graph, config);
   EXPECT_EQ(result.subgraph_nodes.size(), 100u / GetParam());
   EXPECT_EQ(result.ordered_nodes.size(), graph.num_nodes());
@@ -193,9 +190,7 @@ TEST(InterpreterReadouts, WorksWithSortPoolClassifier) {
   const Acfg graph = generate_acfg(Family::Swizzor, rng);
 
   Interpreter interpreter(theta, gnn);
-  InterpretationConfig config;
-  config.keep_adjacency_snapshots = false;
-  const Interpretation result = interpreter.interpret(graph, config);
+  const Interpretation result = interpreter.interpret(graph);
   EXPECT_EQ(result.ordered_nodes.size(), graph.num_nodes());
   std::set<std::uint32_t> unique(result.ordered_nodes.begin(),
                                  result.ordered_nodes.end());

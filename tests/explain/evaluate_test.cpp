@@ -7,6 +7,7 @@
 #include "explain/baselines.hpp"
 #include "gnn/trainer.hpp"
 #include "graph/ops.hpp"
+#include "support/dense_oracle.hpp"
 
 namespace cfgx {
 namespace {
@@ -189,9 +190,9 @@ TEST_F(EvaluateFixture, ComplementAccuracyMatchesManualComplementMasking) {
     if (!in_top[v]) complement.push_back(v);
   }
   const MaskedGraph masked =
-      keep_only(graph.dense_adjacency(), graph.features(), complement);
+      keep_only(dense_adjacency(graph), graph.features(), complement);
   const Prediction prediction =
-      gnn_->predict_masked(masked.adjacency, masked.features);
+      predict_masked(*gnn_, masked.adjacency, masked.features);
   const double expected =
       static_cast<int>(prediction.predicted_class) == graph.label() ? 1.0
                                                                     : 0.0;

@@ -87,8 +87,6 @@ TEST_F(ExplainerFixture, CfgExplainerInterpretExposesSubgraphs) {
   explainer.fit(*corpus_, split_->train);
   const Interpretation interpretation = explainer.interpret(sample_graph());
   EXPECT_EQ(interpretation.subgraph_nodes.size(), 10u);
-  // Adapter defaults to skipping adjacency snapshots.
-  EXPECT_TRUE(interpretation.subgraph_adjacencies.empty());
 }
 
 TEST_F(ExplainerFixture, CfgExplainerName) {

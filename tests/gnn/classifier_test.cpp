@@ -10,6 +10,7 @@
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
+#include "support/dense_oracle.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cfgx {
@@ -42,7 +43,7 @@ TEST(GnnClassifierTest, EmbeddingShape) {
   Rng rng(1);
   GnnClassifier model(tiny_config(), rng);
   const Acfg graph = tiny_graph(rng);
-  const Matrix z = model.embed(graph.dense_adjacency(), graph.features());
+  const Matrix z = dense_embed(model, dense_adjacency(graph), graph.features());
   EXPECT_EQ(z.rows(), graph.num_nodes());
   EXPECT_EQ(z.cols(), 6u);  // last gcn dim
 }
@@ -51,7 +52,7 @@ TEST(GnnClassifierTest, EmbeddingsAreNonNegative) {
   Rng rng(2);
   GnnClassifier model(tiny_config(), rng);
   const Acfg graph = tiny_graph(rng);
-  const Matrix z = model.embed(graph.dense_adjacency(), graph.features());
+  const Matrix z = dense_embed(model, dense_adjacency(graph), graph.features());
   for (std::size_t i = 0; i < z.size(); ++i) EXPECT_GE(z.data()[i], 0.0);
 }
 
@@ -63,17 +64,18 @@ TEST(GnnClassifierTest, KernelPoolDoesNotChangeResults) {
   GnnClassifier model(tiny_config(), rng);
   const Acfg graph = tiny_graph(rng);
 
-  const Matrix serial_z = model.embed(graph.dense_adjacency(), graph.features());
+  const Matrix adjacency = dense_adjacency(graph);
+  const Matrix serial_z = dense_embed(model, adjacency, graph.features());
   const Prediction serial_pred = model.predict(graph);
   const Matrix serial_logits =
-      model.forward_cached(graph.dense_adjacency(), graph.features());
+      forward_cached_dense(model, adjacency, graph.features());
   model.zero_grad();
 
   ThreadPool pool(4);
   model.set_kernel_pool(&pool);
-  EXPECT_EQ(model.embed(graph.dense_adjacency(), graph.features()), serial_z);
+  EXPECT_EQ(dense_embed(model, adjacency, graph.features()), serial_z);
   EXPECT_EQ(model.predict(graph).probabilities, serial_pred.probabilities);
-  EXPECT_EQ(model.forward_cached(graph.dense_adjacency(), graph.features()),
+  EXPECT_EQ(forward_cached_dense(model, adjacency, graph.features()),
             serial_logits);
   model.set_kernel_pool(nullptr);
 }
@@ -90,12 +92,14 @@ TEST(GnnClassifierTest, EmbedMatchesDenseLayerReference) {
 
   Rng graph_rng(33);
   const Acfg graph = tiny_graph(graph_rng);
-  const Matrix adjacency = graph.dense_adjacency();
+  const Matrix adjacency = dense_adjacency(graph);
   const Matrix a_hat = normalized_adjacency(adjacency, &graph.features());
-  const Matrix reference = l1.infer(a_hat, l0.infer(a_hat, graph.features()));
+  const Matrix reference =
+      dense_infer(l1, a_hat, dense_infer(l0, a_hat, graph.features()));
 
   EXPECT_TRUE(
-      approx_equal(model.embed(adjacency, graph.features()), reference, 1e-12));
+      approx_equal(dense_embed(model, adjacency, graph.features()), reference,
+                   1e-12));
 }
 
 TEST(GnnClassifierTest, PredictionProbabilitiesSumToOne) {
@@ -110,7 +114,13 @@ TEST(GnnClassifierTest, PredictionProbabilitiesSumToOne) {
 TEST(GnnClassifierTest, NodeCountMismatchThrows) {
   Rng rng(4);
   GnnClassifier model(tiny_config(), rng);
-  EXPECT_THROW(model.embed(Matrix(3, 3), Matrix(4, kAcfgFeatureCount)),
+  const CsrMatrix a_hat = CsrMatrix::from_dense(Matrix(3, 3));
+  const std::vector<double> inv_sqrt(3, 1.0);
+  const Matrix features(4, kAcfgFeatureCount);
+  Matrix out;
+  EXPECT_THROW(model.embed_into(a_hat, inv_sqrt, features, out),
+               std::invalid_argument);
+  EXPECT_THROW(model.forward_cached(a_hat, inv_sqrt, features),
                std::invalid_argument);
 }
 
@@ -125,10 +135,10 @@ TEST(GnnClassifierTest, ForwardCachedMatchesInference) {
   Rng rng(6);
   GnnClassifier model(tiny_config(), rng);
   const Acfg graph = tiny_graph(rng);
-  const Matrix a = graph.dense_adjacency();
-  const Matrix logits_cached = model.forward_cached(a, graph.features());
+  const Matrix a = dense_adjacency(graph);
+  const Matrix logits_cached = forward_cached_dense(model, a, graph.features());
   const Matrix logits_infer =
-      model.class_logits(model.embed(a, graph.features()));
+      model.class_logits(dense_embed(model, a, graph.features()));
   EXPECT_TRUE(approx_equal(logits_cached, logits_infer, 1e-10));
 }
 
@@ -136,11 +146,11 @@ TEST(GnnClassifierTest, MaskingAnEntireGraphChangesPrediction) {
   Rng rng(7);
   GnnClassifier model(tiny_config(), rng);
   const Acfg graph = tiny_graph(rng);
-  Matrix a = graph.dense_adjacency();
+  Matrix a = dense_adjacency(graph);
   Matrix x = graph.features();
-  const Matrix full_logits = model.class_logits(model.embed(a, x));
+  const Matrix full_logits = model.class_logits(dense_embed(model, a, x));
   for (std::uint32_t v = 0; v < graph.num_nodes(); ++v) mask_node(a, x, v);
-  const Matrix masked_logits = model.class_logits(model.embed(a, x));
+  const Matrix masked_logits = model.class_logits(dense_embed(model, a, x));
   EXPECT_FALSE(approx_equal(full_logits, masked_logits, 1e-6));
 }
 
@@ -151,20 +161,20 @@ TEST(GnnClassifierTest, MaskedNodeFeaturesDoNotInfluenceOutput) {
   Rng rng(8);
   GnnClassifier model(tiny_config(), rng);
   const Acfg graph = tiny_graph(rng);
-  Matrix a = graph.dense_adjacency();
+  Matrix a = dense_adjacency(graph);
   Matrix x = graph.features();
   mask_node(a, x, 2);
-  const Matrix before = model.class_logits(model.embed(a, x));
+  const Matrix before = model.class_logits(dense_embed(model, a, x));
   // Feature row stays zero because masking zeroed it; perturbing adjacency
   // row of the masked node is forbidden by construction, so instead verify
   // the masked row contributes nothing by comparing against a copy with a
   // different pre-mask feature value.
   Acfg graph2 = graph;
   graph2.features()(2, 0) += 100.0;
-  Matrix a2 = graph2.dense_adjacency();
+  Matrix a2 = dense_adjacency(graph2);
   Matrix x2 = graph2.features();
   mask_node(a2, x2, 2);
-  const Matrix after = model.class_logits(model.embed(a2, x2));
+  const Matrix after = model.class_logits(dense_embed(model, a2, x2));
   EXPECT_TRUE(approx_equal(before, after, 1e-10));
 }
 
@@ -178,16 +188,16 @@ TEST(GnnClassifierTest, ParameterGradientsMatchNumeric) {
   Rng rng(10);
   GnnClassifier model(tiny_config(), rng);
   const Acfg graph = tiny_graph(rng);
-  const Matrix a = graph.dense_adjacency();
+  const Matrix a = dense_adjacency(graph);
   const std::vector<std::size_t> target{2};
 
   model.zero_grad();
-  const Matrix logits = model.forward_cached(a, graph.features());
+  const Matrix logits = forward_cached_dense(model, a, graph.features());
   const LossResult loss = softmax_cross_entropy(logits, target);
   model.backward_cached(loss.grad);
 
   const auto loss_value = [&] {
-    const Matrix l = model.class_logits(model.embed(a, graph.features()));
+    const Matrix l = model.class_logits(dense_embed(model, a, graph.features()));
     return softmax_cross_entropy(l, target).value;
   };
   for (Parameter* param : model.parameters()) {
@@ -206,30 +216,30 @@ TEST(GnnClassifierTest, AdjacencyGradientMatchesNumericOnExistingEdges) {
   Rng rng(11);
   GnnClassifier model(tiny_config(), rng);
   const Acfg graph = tiny_graph(rng);
-  Matrix a = graph.dense_adjacency();
+  const MaskedNormalizedAdjacency frozen(graph);
   const std::vector<std::size_t> target{1};
 
   model.zero_grad();
-  const Matrix logits = model.forward_cached(a, graph.features());
+  const Matrix logits = model.forward_cached(
+      frozen.a_hat(), frozen.inv_sqrt_degree(), graph.features());
   const LossResult loss = softmax_cross_entropy(logits, target);
   const auto backward = model.backward_cached(loss.grad, true);
-  ASSERT_EQ(backward.grad_adjacency.rows(), graph.num_nodes());
+  ASSERT_EQ(backward.grad_adjacency.size(), frozen.a_hat().nnz());
 
-  std::vector<double> inv_sqrt;
-  normalized_adjacency(a, inv_sqrt);
   // Build A_hat(A') with fixed coefficients and run the GCN layers on it by
   // constructing a synthetic adjacency via the classifier embed path is not
   // possible (embed renormalizes); instead verify the dominant property:
   // the gradient of an edge with larger |dL/dA_hat| mass is larger, and the
   // gradient is finite and non-zero somewhere on existing edges.
   double max_on_edges = 0.0;
-  for (const Edge& e : graph.edges()) {
-    max_on_edges = std::max(max_on_edges,
-                            std::abs(backward.grad_adjacency(e.src, e.dst)));
+  for (std::size_t e = 0; e < graph.num_edges(); ++e) {
+    max_on_edges =
+        std::max(max_on_edges,
+                 std::abs(backward.grad_adjacency[frozen.edge_slot(e)]));
   }
   EXPECT_GT(max_on_edges, 0.0);
-  for (std::size_t i = 0; i < backward.grad_adjacency.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(backward.grad_adjacency.data()[i]));
+  for (const double g : backward.grad_adjacency) {
+    EXPECT_TRUE(std::isfinite(g));
   }
 }
 
@@ -317,9 +327,9 @@ TEST(SortPoolTest, ForwardCachedMatchesInference) {
   Rng rng(22);
   GnnClassifier model(sortpool_config(), rng);
   const Acfg graph = tiny_graph(rng);
-  const Matrix a = graph.dense_adjacency();
-  const Matrix cached = model.forward_cached(a, graph.features());
-  const Matrix infer = model.class_logits(model.embed(a, graph.features()));
+  const Matrix a = dense_adjacency(graph);
+  const Matrix cached = forward_cached_dense(model, a, graph.features());
+  const Matrix infer = model.class_logits(dense_embed(model, a, graph.features()));
   EXPECT_TRUE(approx_equal(cached, infer, 1e-10));
 }
 
@@ -327,11 +337,11 @@ TEST(SortPoolTest, ConsistentUnderMasking) {
   Rng rng(23);
   GnnClassifier model(sortpool_config(), rng);
   const Acfg graph = tiny_graph(rng);
-  Matrix a = graph.dense_adjacency();
+  Matrix a = dense_adjacency(graph);
   Matrix x = graph.features();
   mask_node(a, x, 1);
-  const Matrix cached = model.forward_cached(a, x);
-  const Prediction p = model.predict_masked(a, x);
+  const Matrix cached = forward_cached_dense(model, a, x);
+  const Prediction p = predict_masked(model, a, x);
   EXPECT_TRUE(approx_equal(softmax_rows(cached), p.probabilities, 1e-10));
 }
 
@@ -339,16 +349,16 @@ TEST(SortPoolTest, ParameterGradientsMatchNumeric) {
   Rng rng(24);
   GnnClassifier model(sortpool_config(), rng);
   const Acfg graph = tiny_graph(rng);
-  const Matrix a = graph.dense_adjacency();
+  const Matrix a = dense_adjacency(graph);
   const std::vector<std::size_t> target{3};
 
   model.zero_grad();
-  const Matrix logits = model.forward_cached(a, graph.features());
+  const Matrix logits = forward_cached_dense(model, a, graph.features());
   const LossResult loss = softmax_cross_entropy(logits, target);
   model.backward_cached(loss.grad);
 
   const auto loss_value = [&] {
-    const Matrix l = model.class_logits(model.embed(a, graph.features()));
+    const Matrix l = model.class_logits(dense_embed(model, a, graph.features()));
     return softmax_cross_entropy(l, target).value;
   };
   for (Parameter* param : model.parameters()) {
@@ -417,7 +427,7 @@ TEST(SortPoolTest, TrainsOnTinyCorpus) {
     for (std::size_t i = 0; i < 12; ++i) {
       const Acfg& graph = corpus.graph(i * 3);
       const Matrix logits =
-          model.forward_cached(graph.dense_adjacency(), graph.features());
+          forward_cached_dense(model, dense_adjacency(graph), graph.features());
       LossResult loss = softmax_cross_entropy(
           logits, {static_cast<std::size_t>(graph.label())});
       loss_sum += loss.value;

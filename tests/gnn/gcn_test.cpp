@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "graph/ops.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/sparse.hpp"
-#include "graph/ops.hpp"
+#include "support/dense_oracle.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cfgx {
@@ -39,7 +43,7 @@ double scalarize(const Matrix& out, const Matrix& w) {
 TEST(GcnLayerTest, InferMatchesForward) {
   Rng rng(1);
   GcnLayer layer(4, 3, rng);
-  const Matrix a_hat = random_a_hat(5, rng);
+  const CsrMatrix a_hat = CsrMatrix::from_dense(random_a_hat(5, rng));
   const Matrix h = random_matrix(5, 4, rng);
   EXPECT_TRUE(approx_equal(layer.infer(a_hat, h), layer.forward(a_hat, h), 1e-12));
 }
@@ -47,7 +51,8 @@ TEST(GcnLayerTest, InferMatchesForward) {
 TEST(GcnLayerTest, OutputIsNonNegative) {
   Rng rng(2);
   GcnLayer layer(4, 6, rng);
-  const Matrix out = layer.forward(random_a_hat(7, rng), random_matrix(7, 4, rng));
+  const Matrix out = layer.forward(CsrMatrix::from_dense(random_a_hat(7, rng)),
+                                   random_matrix(7, 4, rng));
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_GE(out.data()[i], 0.0);
 }
 
@@ -58,7 +63,7 @@ TEST(GcnLayerTest, IsolatedNodeRowProducesBiasOnlyOutput) {
   a_hat(0, 0) = a_hat(1, 1) = 0.5;
   a_hat(0, 1) = a_hat(1, 0) = 0.5;
   const Matrix h = random_matrix(3, 2, rng);
-  const Matrix out = layer.forward(a_hat, h);
+  const Matrix out = layer.forward(CsrMatrix::from_dense(a_hat), h);
   // Row 2: ReLU(0 + b).
   for (std::size_t c = 0; c < 2; ++c) {
     const double expected = std::max(0.0, layer.parameters()[1]->value(0, c));
@@ -69,7 +74,7 @@ TEST(GcnLayerTest, IsolatedNodeRowProducesBiasOnlyOutput) {
 TEST(GcnLayerTest, InputGradientMatchesNumeric) {
   Rng rng(4);
   GcnLayer layer(3, 4, rng);
-  const Matrix a_hat = random_a_hat(5, rng);
+  const CsrMatrix a_hat = CsrMatrix::from_dense(random_a_hat(5, rng));
   Matrix h = random_matrix(5, 3, rng);
   const Matrix w = random_matrix(5, 4, rng);
 
@@ -84,7 +89,7 @@ TEST(GcnLayerTest, InputGradientMatchesNumeric) {
 TEST(GcnLayerTest, WeightGradientsMatchNumeric) {
   Rng rng(5);
   GcnLayer layer(3, 2, rng);
-  const Matrix a_hat = random_a_hat(4, rng);
+  const CsrMatrix a_hat = CsrMatrix::from_dense(random_a_hat(4, rng));
   const Matrix h = random_matrix(4, 3, rng);
   const Matrix w = random_matrix(4, 2, rng);
 
@@ -109,20 +114,23 @@ TEST(GcnLayerTest, AdjacencyGradientMatchesNumeric) {
   const Matrix h = random_matrix(4, 3, rng);
   const Matrix w = random_matrix(4, 2, rng);
 
+  // Every entry stored, so the per-slot gradient covers all of A_hat.
   layer.zero_grad();
-  layer.forward(a_hat, h);
+  layer.forward(full_csr(a_hat), h);
+  std::vector<double> grad_slots(16, 0.0);
+  layer.backward(w, &grad_slots);
   Matrix grad_a(4, 4);
-  layer.backward(w, &grad_a);
+  std::copy(grad_slots.begin(), grad_slots.end(), grad_a.data());
 
   const auto result = check_gradient_against(
-      a_hat, grad_a, [&] { return scalarize(layer.infer(a_hat, h), w); });
+      a_hat, grad_a, [&] { return scalarize(dense_infer(layer, a_hat, h), w); });
   EXPECT_TRUE(result.passed(1e-5)) << result.max_rel_error;
 }
 
 TEST(GcnLayerTest, GradientsAccumulate) {
   Rng rng(7);
   GcnLayer layer(2, 2, rng);
-  const Matrix a_hat = random_a_hat(3, rng);
+  const CsrMatrix a_hat = CsrMatrix::from_dense(random_a_hat(3, rng));
   const Matrix h = random_matrix(3, 2, rng);
   const Matrix w(3, 2, 1.0);
 
@@ -135,7 +143,7 @@ TEST(GcnLayerTest, GradientsAccumulate) {
   EXPECT_TRUE(approx_equal(layer.parameters()[0]->grad, once * 2.0, 1e-10));
 }
 
-// --- CSR fast path: must be a drop-in replacement for the dense path ---
+// --- CSR path: must reproduce the dense reference (support/dense_oracle) ---
 
 TEST(GcnLayerCsrTest, InferMatchesDenseReference) {
   Rng rng(20);
@@ -143,7 +151,8 @@ TEST(GcnLayerCsrTest, InferMatchesDenseReference) {
   const Matrix a_hat = random_a_hat(6, rng);
   const Matrix h = random_matrix(6, 4, rng);
   const CsrMatrix a_csr = CsrMatrix::from_dense(a_hat);
-  EXPECT_TRUE(approx_equal(layer.infer(a_csr, h), layer.infer(a_hat, h), 1e-12));
+  EXPECT_TRUE(
+      approx_equal(layer.infer(a_csr, h), dense_infer(layer, a_hat, h), 1e-12));
 }
 
 TEST(GcnLayerCsrTest, InferWithPoolMatchesDenseReference) {
@@ -154,8 +163,8 @@ TEST(GcnLayerCsrTest, InferWithPoolMatchesDenseReference) {
   const Matrix h = random_matrix(32, 4, rng);
   const CsrMatrix a_csr = CsrMatrix::from_dense(a_hat);
   EXPECT_EQ(layer.infer(a_csr, h, &pool), layer.infer(a_csr, h));
-  EXPECT_TRUE(approx_equal(layer.infer(a_csr, h, &pool), layer.infer(a_hat, h),
-                           1e-12));
+  EXPECT_TRUE(approx_equal(layer.infer(a_csr, h, &pool),
+                           dense_infer(layer, a_hat, h), 1e-12));
 }
 
 TEST(GcnLayerCsrTest, ForwardBackwardMatchesDensePath) {
@@ -169,15 +178,22 @@ TEST(GcnLayerCsrTest, ForwardBackwardMatchesDensePath) {
   const Matrix h = random_matrix(7, 3, data_rng);
   const Matrix w = random_matrix(7, 4, data_rng);
   const CsrMatrix a_csr = CsrMatrix::from_dense(a_hat);
+  const CsrMatrix a_full = full_csr(a_hat);  // the dense operation sequence
 
-  EXPECT_TRUE(approx_equal(dense_layer.forward(a_hat, h),
+  EXPECT_TRUE(approx_equal(dense_layer.forward(a_full, h),
                            csr_layer.forward(a_csr, h), 1e-12));
 
-  Matrix grad_a_dense(7, 7), grad_a_csr(7, 7);
+  std::vector<double> grad_a_dense(a_full.nnz(), 0.0);
+  std::vector<double> grad_a_csr(a_csr.nnz(), 0.0);
   const Matrix grad_h_dense = dense_layer.backward(w, &grad_a_dense);
   const Matrix grad_h_csr = csr_layer.backward(w, &grad_a_csr);
   EXPECT_TRUE(approx_equal(grad_h_dense, grad_h_csr, 1e-12));
-  EXPECT_TRUE(approx_equal(grad_a_dense, grad_a_csr, 1e-12));
+  for (std::size_t i = 0; i < 7; ++i) {
+    for (std::size_t p = a_csr.row_ptr()[i]; p < a_csr.row_ptr()[i + 1]; ++p) {
+      EXPECT_NEAR(grad_a_csr[p], grad_a_dense[i * 7 + a_csr.col_idx()[p]],
+                  1e-12);
+    }
+  }
   for (std::size_t p = 0; p < 2; ++p) {
     EXPECT_TRUE(approx_equal(dense_layer.parameters()[p]->grad,
                              csr_layer.parameters()[p]->grad, 1e-12));

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "isa/features.hpp"
+#include "isa/lifter.hpp"
+#include "support/dense_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace cfgx {
@@ -13,7 +16,7 @@ Matrix triangle_adjacency() {
   graph.add_edge(0, 1, EdgeKind::Flow);
   graph.add_edge(1, 2, EdgeKind::Call);
   graph.add_edge(2, 0, EdgeKind::Flow);
-  return graph.dense_adjacency();
+  return dense_adjacency(graph);
 }
 
 TEST(NormalizedAdjacencyTest, IsSymmetric) {
@@ -213,7 +216,7 @@ TEST(BatchNormalizedGraphsTest, BlocksMatchPerGraphNormalization) {
 
   const std::vector<const Acfg*> graphs = {&g0, &g1};
   for (std::size_t k = 0; k < graphs.size(); ++k) {
-    const Matrix adjacency = graphs[k]->dense_adjacency();
+    const Matrix adjacency = dense_adjacency(*graphs[k]);
     std::vector<double> inv_sqrt;
     const CsrMatrix expected =
         normalized_adjacency_csr(adjacency, inv_sqrt, &graphs[k]->features());
@@ -262,6 +265,113 @@ TEST(BatchNormalizedGraphsTest, EmptyAndInvalidInputs) {
                std::invalid_argument);
   EXPECT_THROW(batch_normalized_graphs({&narrow, nullptr}),
                std::invalid_argument);
+}
+
+// --- edge gates (MaskedNormalizedAdjacency::scale_edges) ---
+
+// `call L` with `L:` as the next block: the lifter keeps both the Call and
+// the Flow (return-site) edge between the same two blocks.
+Acfg call_to_next_block_graph() {
+  ProgramBuilder b;
+  b.emit(Opcode::Cmp, Operand::make_reg(Register::Eax), Operand::make_imm(0));
+  b.jcc(Opcode::Je, "tail");    // block 0
+  b.emit(Opcode::Nop);
+  b.call_label("next");         // block 1: call + return site both -> 2
+  b.label("next");
+  b.emit(Opcode::Nop);          // block 2
+  b.label("tail");
+  b.ret();                      // block 3
+  const Program program = b.build();
+  Acfg graph = to_acfg(lift_program(program));
+  for (std::size_t i = 0; i < graph.features().size(); ++i) {
+    graph.features().data()[i] = 1.0 + static_cast<double>(i % 5);
+  }
+  return graph;
+}
+
+bool same_values(const MaskedNormalizedAdjacency& a, const CsrMatrix& b) {
+  return a.a_hat().row_ptr() == b.row_ptr() &&
+         a.a_hat().col_idx() == b.col_idx() &&
+         a.a_hat().values() == b.values();
+}
+
+TEST(EdgeGates, LiftedCallToNextBlockAtAllOnesEqualsUngated) {
+  const Acfg graph = call_to_next_block_graph();
+  std::size_t call = graph.num_edges(), flow = graph.num_edges();
+  for (std::size_t e = 0; e < graph.num_edges(); ++e) {
+    const Edge& edge = graph.edges()[e];
+    if (edge.src != 1 || edge.dst != 2) continue;
+    (edge.kind == EdgeKind::Call ? call : flow) = e;
+  }
+  ASSERT_LT(call, graph.num_edges());
+  ASSERT_LT(flow, graph.num_edges());
+
+  const MaskedNormalizedAdjacency ungated(graph);
+  MaskedNormalizedAdjacency gated(graph);
+  gated.scale_edges(std::vector<double>(graph.num_edges(), 1.0),
+                    graph.features());
+  EXPECT_TRUE(same_values(gated, ungated.a_hat()));
+  EXPECT_EQ(gated.inv_sqrt_degree(), ungated.inv_sqrt_degree());
+  const FrozenNormalization dense =
+      frozen_normalization(dense_adjacency(graph), graph.features());
+  EXPECT_TRUE(same_values(gated, dense.a_hat));
+
+  // The pair's value is the call edge's 2.0, so only the call edge's gate
+  // gets a gradient.
+  EXPECT_EQ(gated.edge_slot(call), gated.edge_slot(flow));
+  std::vector<double> grad(gated.a_hat().nnz(), 0.0);
+  grad[gated.edge_slot(call)] = 0.25;
+  const std::vector<double> edge_grad = gated.edge_gradient(grad);
+  EXPECT_EQ(edge_grad[call], 0.25 * kEdgeCallWeight);
+  EXPECT_EQ(edge_grad[flow], 0.0);
+}
+
+TEST(EdgeGates, CoincidentPairTakesTheMaxAndItsEdgeGetsTheGradient) {
+  const Acfg graph = call_to_next_block_graph();
+  std::size_t call = 0, flow = 0;
+  for (std::size_t e = 0; e < graph.num_edges(); ++e) {
+    const Edge& edge = graph.edges()[e];
+    if (edge.src == 1 && edge.dst == 2) {
+      (edge.kind == EdgeKind::Call ? call : flow) = e;
+    }
+  }
+  // {call gate, flow gate, edge expected to set the pair}.
+  struct Case {
+    double call_gate, flow_gate;
+    std::size_t setter;
+  };
+  for (const Case& c : {Case{0.9, 0.3, call}, Case{0.2, 0.9, flow},
+                        Case{0.5, 1.0, call},  // tie: 2 * 0.5 == 1 * 1.0
+                        Case{0.0, 0.0, call}}) {
+    std::vector<double> gates(graph.num_edges(), 0.75);
+    gates[call] = c.call_gate;
+    gates[flow] = c.flow_gate;
+    MaskedNormalizedAdjacency gated(graph);
+    gated.scale_edges(gates, graph.features());
+    const FrozenNormalization dense = frozen_normalization(
+        dense_adjacency(graph, gates), graph.features());
+    // A zero gate keeps its slot (holding 0.0), which the dense form drops.
+    EXPECT_EQ(gated.a_hat().to_dense(), dense.a_hat.to_dense()) << c.call_gate;
+    EXPECT_EQ(gated.inv_sqrt_degree(), dense.inv_sqrt_degree) << c.call_gate;
+
+    const std::vector<double> grad(gated.a_hat().nnz(), 1.0);
+    const std::vector<double> edge_grad = gated.edge_gradient(grad);
+    const std::size_t other = c.setter == call ? flow : call;
+    EXPECT_EQ(edge_grad[c.setter], graph.edges()[c.setter].weight())
+        << c.call_gate;
+    EXPECT_EQ(edge_grad[other], 0.0) << c.call_gate;
+  }
+}
+
+TEST(EdgeGates, ZeroGateKeepsItsSlotAndSizesAreChecked) {
+  const Acfg graph = call_to_next_block_graph();
+  const MaskedNormalizedAdjacency ungated(graph);
+  MaskedNormalizedAdjacency gated(graph);
+  gated.scale_edges(std::vector<double>(graph.num_edges(), 0.0),
+                    graph.features());
+  EXPECT_EQ(gated.a_hat().col_idx(), ungated.a_hat().col_idx());
+  EXPECT_THROW(gated.scale_edges({}, graph.features()), std::invalid_argument);
+  EXPECT_THROW(gated.edge_gradient({}), std::invalid_argument);
 }
 
 }  // namespace

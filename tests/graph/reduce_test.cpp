@@ -10,6 +10,7 @@
 
 #include "graph/ops.hpp"
 #include "graph/reduce.hpp"
+#include "support/dense_oracle.hpp"
 
 namespace cfgx {
 namespace {
@@ -354,10 +355,10 @@ TEST(MaskedSubgraph, MatchesKeepOnlyEntryForEntry) {
   const std::vector<std::uint32_t> kept{0, 1};
   const Acfg sub = masked_subgraph(g, kept);
   const MaskedGraph reference =
-      keep_only(g.dense_adjacency(), g.features(), kept);
+      keep_only(dense_adjacency(g), g.features(), kept);
 
   EXPECT_EQ(sub.num_nodes(), g.num_nodes());
-  const Matrix sub_adj = sub.dense_adjacency();
+  const Matrix sub_adj = dense_adjacency(sub);
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = 0; j < 4; ++j) {
       EXPECT_EQ(sub_adj(i, j), reference.adjacency(i, j)) << i << "," << j;
@@ -378,7 +379,7 @@ TEST(CountActiveNodes, EdgeListFormMatchesDense) {
   // Nodes 2 and 4 are fully inactive.
   EXPECT_EQ(count_active_nodes(g), 3u);
   EXPECT_EQ(count_active_nodes(g),
-            count_active_nodes(g.dense_adjacency(), g.features()));
+            count_active_nodes(dense_adjacency(g), g.features()));
 }
 
 TEST(MaskedNormalizedAdjacency, AcfgConstructorIsBitIdenticalToDense) {
@@ -390,17 +391,18 @@ TEST(MaskedNormalizedAdjacency, AcfgConstructorIsBitIdenticalToDense) {
                Edge{4, 3, EdgeKind::Call}, Edge{3, 4, EdgeKind::Flow}});
   g.features()(5, 1) = 2.0;  // feature-only active node
   const MaskedNormalizedAdjacency sparse(g);
-  const MaskedNormalizedAdjacency dense(g.dense_adjacency(), g.features());
+  const FrozenNormalization dense =
+      frozen_normalization(dense_adjacency(g), g.features());
 
-  ASSERT_EQ(sparse.a_hat().row_ptr(), dense.a_hat().row_ptr());
-  ASSERT_EQ(sparse.a_hat().col_idx(), dense.a_hat().col_idx());
+  ASSERT_EQ(sparse.a_hat().row_ptr(), dense.a_hat.row_ptr());
+  ASSERT_EQ(sparse.a_hat().col_idx(), dense.a_hat.col_idx());
   const auto& sv = sparse.a_hat().values();
-  const auto& dv = dense.a_hat().values();
+  const auto& dv = dense.a_hat.values();
   ASSERT_EQ(sv.size(), dv.size());
   for (std::size_t p = 0; p < sv.size(); ++p) {
     EXPECT_EQ(sv[p], dv[p]) << "value index " << p;
   }
-  EXPECT_EQ(sparse.inv_sqrt_degree(), dense.inv_sqrt_degree());
+  EXPECT_EQ(sparse.inv_sqrt_degree(), dense.inv_sqrt_degree);
 }
 
 }  // namespace

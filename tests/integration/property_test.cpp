@@ -14,6 +14,7 @@
 #include "isa/lifter.hpp"
 #include "proptest/fuzz.hpp"
 #include "proptest/proptest.hpp"
+#include "support/dense_oracle.hpp"
 
 namespace cfgx {
 namespace {
@@ -45,9 +46,7 @@ class InterpretationInvariants : public ::testing::TestWithParam<Family> {
 
 TEST_P(InterpretationInvariants, OrderingIsPermutation) {
   Interpreter interpreter(theta_, gnn_);
-  InterpretationConfig config;
-  config.keep_adjacency_snapshots = false;
-  const Interpretation result = interpreter.interpret(graph_, config);
+  const Interpretation result = interpreter.interpret(graph_);
   std::set<std::uint32_t> unique(result.ordered_nodes.begin(),
                                  result.ordered_nodes.end());
   EXPECT_EQ(unique.size(), graph_.num_nodes());
@@ -55,9 +54,7 @@ TEST_P(InterpretationInvariants, OrderingIsPermutation) {
 
 TEST_P(InterpretationInvariants, SubgraphsNestedAndMonotone) {
   Interpreter interpreter(theta_, gnn_);
-  InterpretationConfig config;
-  config.keep_adjacency_snapshots = false;
-  const Interpretation result = interpreter.interpret(graph_, config);
+  const Interpretation result = interpreter.interpret(graph_);
   for (std::size_t k = 1; k < result.subgraph_nodes.size(); ++k) {
     EXPECT_GT(result.subgraph_nodes[k].size(),
               result.subgraph_nodes[k - 1].size() - 1);  // non-decreasing
@@ -73,10 +70,8 @@ TEST_P(InterpretationInvariants, MaskedEvaluationMatchesKeptSets) {
   // keep_only of the k-th node set must leave exactly those nodes unmasked
   // among nodes that had any connectivity or features.
   Interpreter interpreter(theta_, gnn_);
-  InterpretationConfig config;
-  config.keep_adjacency_snapshots = false;
-  const Interpretation result = interpreter.interpret(graph_, config);
-  const Matrix adjacency = graph_.dense_adjacency();
+  const Interpretation result = interpreter.interpret(graph_);
+  const Matrix adjacency = dense_adjacency(graph_);
   const auto& kept = result.subgraph_nodes.front();
   const MaskedGraph masked = keep_only(adjacency, graph_.features(), kept);
   const std::set<std::uint32_t> kept_set(kept.begin(), kept.end());
@@ -160,9 +155,7 @@ TEST(PipelineDeterminism, CorpusGnnAndInterpretationBitStable) {
     theta_config.num_classes = kFamilyCount;
     ExplainerModel theta(theta_config, rng);
     Interpreter interpreter(theta, gnn);
-    InterpretationConfig ic;
-    ic.keep_adjacency_snapshots = false;
-    return interpreter.interpret(corpus.graph(5), ic).ordered_nodes;
+    return interpreter.interpret(corpus.graph(5)).ordered_nodes;
   };
   EXPECT_EQ(build_and_interpret(), build_and_interpret());
 }

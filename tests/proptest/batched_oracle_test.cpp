@@ -19,6 +19,7 @@
 #include "nn/sparse.hpp"
 #include "proptest/generators.hpp"
 #include "proptest/proptest.hpp"
+#include "support/dense_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace cfgx {
@@ -105,8 +106,8 @@ class BatchedInferenceOracle : public ::testing::Test {
     gnn_.embed_into(batched.matrix(), inv_sqrt, stacked, embeddings);
     for (std::size_t k = 0; k < c.graphs.size(); ++k) {
       const Acfg& graph = c.graphs[k];
-      const Matrix adjacency = graph.dense_adjacency();
-      const Matrix expected = gnn_.embed(adjacency, graph.features());
+      const Matrix adjacency = dense_adjacency(graph);
+      const Matrix expected = dense_embed(gnn_, adjacency, graph.features());
       const Matrix slice = slice_rows(embeddings, batched.range(k));
       if (!bit_identical(slice, expected)) return false;
       const Matrix expected_logits = gnn_.class_logits(
@@ -150,7 +151,7 @@ TEST_F(BatchedInferenceOracle, FrozenCsrBatchInferenceBitIdenticalToPerGraph) {
         std::vector<std::size_t> active;
         std::size_t total_nodes = 0;
         for (const Acfg& graph : c.graphs) {
-          frozen.emplace_back(graph.dense_adjacency(), graph.features());
+          frozen.emplace_back(graph);
           blocks.push_back(&frozen.back().a_hat());
           std::size_t graph_active = 0;
           for (double v : frozen.back().inv_sqrt_degree()) {

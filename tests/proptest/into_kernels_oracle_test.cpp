@@ -29,6 +29,7 @@
 #include "obs/metrics.hpp"
 #include "proptest/generators.hpp"
 #include "proptest/proptest.hpp"
+#include "support/dense_oracle.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cfgx {
@@ -194,9 +195,9 @@ TEST(IntoKernelsOracle, IncrementalMaskingBitIdenticalToDenseRenormalize) {
       "MaskedNormalizedAdjacency == densify+renormalize after random prunes",
       masking_cases(),
       [](const MaskingCase& c) {
-        Matrix adjacency = c.graph.dense_adjacency();
+        Matrix adjacency = dense_adjacency(c.graph);
         Matrix features = c.graph.features();
-        MaskedNormalizedAdjacency masked(adjacency, features);
+        MaskedNormalizedAdjacency masked(c.graph);
         Rng refresh_rng(c.refresh_seed);
 
         const auto agrees = [&]() {
@@ -234,16 +235,7 @@ TEST(IntoKernelsOracle, IncrementalMaskingBitIdenticalToDenseRenormalize) {
 
 bool interpretations_equal(const Interpretation& a, const Interpretation& b) {
   if (a.ordered_nodes != b.ordered_nodes) return false;
-  if (a.subgraph_nodes != b.subgraph_nodes) return false;
-  if (a.subgraph_adjacencies.size() != b.subgraph_adjacencies.size()) {
-    return false;
-  }
-  for (std::size_t k = 0; k < a.subgraph_adjacencies.size(); ++k) {
-    if (!bit_identical(a.subgraph_adjacencies[k], b.subgraph_adjacencies[k])) {
-      return false;
-    }
-  }
-  return true;
+  return a.subgraph_nodes == b.subgraph_nodes;
 }
 
 // The seed implementation of Algorithm 2 (per-iteration densify +
@@ -255,7 +247,7 @@ Interpretation dense_reference_interpret(const GnnClassifier& gnn,
                                          const InterpretationConfig& config) {
   const unsigned step = config.step_size_percent;
   const std::uint32_t n_real = graph.num_nodes();
-  Matrix adjacency = graph.dense_adjacency();
+  Matrix adjacency = dense_adjacency(graph);
   Matrix features = graph.features();
 
   Interpretation result;
@@ -267,10 +259,7 @@ Interpretation dense_reference_interpret(const GnnClassifier& gnn,
   const unsigned iterations = 100 / step;
   for (unsigned it = 0; it < iterations; ++it) {
     result.subgraph_nodes.push_back(remaining);
-    if (config.keep_adjacency_snapshots) {
-      result.subgraph_adjacencies.push_back(adjacency);
-    }
-    const Matrix embeddings = gnn.embed(adjacency, features);
+    const Matrix embeddings = dense_embed(gnn, adjacency, features);
     const Matrix scores = model.score_nodes(embeddings);
     const auto target_remaining = static_cast<std::size_t>(
         (static_cast<std::uint64_t>(n_real) * (100 - (it + 1) * step) + 50) /
@@ -299,8 +288,6 @@ Interpretation dense_reference_interpret(const GnnClassifier& gnn,
     result.ordered_nodes.push_back(*it);
   }
   std::reverse(result.subgraph_nodes.begin(), result.subgraph_nodes.end());
-  std::reverse(result.subgraph_adjacencies.begin(),
-               result.subgraph_adjacencies.end());
   return result;
 }
 
@@ -331,16 +318,12 @@ TEST_F(InterpreterEquivalence, MatchesSeedDensePathOnRandomGraphs) {
       "incremental-CSR interpret == seed dense interpret",
       proptest::acfgs(20, 0.2),
       [&](const Acfg& graph) {
-        for (const bool snapshots : {false, true}) {
-          InterpretationConfig config;
-          config.step_size_percent = 20;
-          config.keep_adjacency_snapshots = snapshots;
-          const Interpretation fast = interpreter.interpret(graph, config);
-          const Interpretation reference =
-              dense_reference_interpret(gnn_, model_, graph, config);
-          if (!interpretations_equal(fast, reference)) return false;
-        }
-        return true;
+        InterpretationConfig config;
+        config.step_size_percent = 20;
+        const Interpretation fast = interpreter.interpret(graph, config);
+        const Interpretation reference =
+            dense_reference_interpret(gnn_, model_, graph, config);
+        return interpretations_equal(fast, reference);
       },
       {.iterations = 15});
 }
@@ -354,15 +337,12 @@ TEST_F(InterpreterEquivalence, RepeatedInterpretIsDeterministicAndAllocFree) {
   Rng graph_rng(1234);
   const Acfg graph = generate_acfg(Family::Rbot, graph_rng);
   Interpreter interpreter(model_, gnn_);
-  InterpretationConfig config;
-  config.keep_adjacency_snapshots = false;
-
-  const Interpretation first = interpreter.interpret(graph, config);
-  interpreter.interpret(graph, config);  // warm the thread-local pool
+  const Interpretation first = interpreter.interpret(graph);
+  interpreter.interpret(graph);  // warm the thread-local pool
 
   const std::uint64_t allocated_before = allocated.value();
   for (int round = 0; round < 3; ++round) {
-    const Interpretation repeat = interpreter.interpret(graph, config);
+    const Interpretation repeat = interpreter.interpret(graph);
     EXPECT_TRUE(interpretations_equal(first, repeat)) << "round " << round;
   }
   // Steady state: every scratch request is served from pooled capacity.

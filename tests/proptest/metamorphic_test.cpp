@@ -31,6 +31,7 @@
 #include "graph/ops.hpp"
 #include "proptest/generators.hpp"
 #include "proptest/proptest.hpp"
+#include "support/dense_oracle.hpp"
 
 namespace cfgx {
 namespace {
@@ -139,8 +140,8 @@ class MetamorphicTest : public ::testing::Test {
       seen[v] = 1;
     }
 
-    const Matrix adjacency = graph.dense_adjacency();
-    const Matrix permuted_adjacency = permuted.dense_adjacency();
+    const Matrix adjacency = dense_adjacency(graph);
+    const Matrix permuted_adjacency = dense_adjacency(permuted);
     for (double fraction : {0.1, 0.2, 0.5, 1.0}) {
       const auto kept = ranking.top_fraction(fraction);
       std::vector<std::uint32_t> pulled_back;
@@ -151,10 +152,10 @@ class MetamorphicTest : public ::testing::Test {
           keep_only(permuted_adjacency, permuted.features(), kept);
       const MaskedGraph masked_original =
           keep_only(adjacency, graph.features(), pulled_back);
-      const Prediction on_permuted = gnn_->predict_masked(
-          masked_permuted.adjacency, masked_permuted.features);
-      const Prediction on_original = gnn_->predict_masked(
-          masked_original.adjacency, masked_original.features);
+      const Prediction on_permuted = predict_masked(
+          *gnn_, masked_permuted.adjacency, masked_permuted.features);
+      const Prediction on_original = predict_masked(
+          *gnn_, masked_original.adjacency, masked_original.features);
       if (on_permuted.predicted_class != on_original.predicted_class) {
         return false;
       }
@@ -241,9 +242,9 @@ TEST_F(MetamorphicTest, CfgExplainerScoresArePermutationEquivariant) {
 
         const ExplainerModel& model = cfg_explainer_->model();
         const Matrix scores = model.score_nodes(
-            gnn_->embed(graph.dense_adjacency(), graph.features()));
+            dense_embed(*gnn_, dense_adjacency(graph), graph.features()));
         const Matrix permuted_scores = model.score_nodes(
-            gnn_->embed(permuted.dense_adjacency(), permuted.features()));
+            dense_embed(*gnn_, dense_adjacency(permuted), permuted.features()));
         for (std::uint32_t v = 0; v < graph.num_nodes(); ++v) {
           if (std::abs(permuted_scores(perm[v], 0) - scores(v, 0)) > 1e-9) {
             return false;
@@ -299,18 +300,16 @@ TEST(MetamorphicOrdering, InterpretationIsPermutationEquivariantWithoutTies) {
   model_config.num_classes = kFamilyCount;
   ExplainerModel theta(model_config, init);
   Interpreter interpreter(theta, gnn);
-  InterpretationConfig interpret_config;
-  interpret_config.keep_adjacency_snapshots = false;
 
   std::size_t checked = 0;
   std::size_t skipped_for_ties = 0;
   const auto stage_has_tie = [&](const Acfg& graph,
                                  const Interpretation& base) {
-    const Matrix adjacency = graph.dense_adjacency();
+    const Matrix adjacency = dense_adjacency(graph);
     for (const auto& kept : base.subgraph_nodes) {
       const MaskedGraph masked = keep_only(adjacency, graph.features(), kept);
       const Matrix scores =
-          theta.score_nodes(gnn.embed(masked.adjacency, masked.features));
+          theta.score_nodes(dense_embed(gnn, masked.adjacency, masked.features));
       for (std::size_t i = 0; i < kept.size(); ++i) {
         for (std::size_t j = i + 1; j < kept.size(); ++j) {
           if (std::abs(scores(kept[i], 0) - scores(kept[j], 0)) < 1e-9) {
@@ -331,14 +330,14 @@ TEST(MetamorphicOrdering, InterpretationIsPermutationEquivariantWithoutTies) {
         const auto perm = random_permutation(graph.num_nodes(), perm_rng);
         const Acfg permuted = permute_acfg(graph, perm);
 
-        const Interpretation base = interpreter.interpret(graph, interpret_config);
+        const Interpretation base = interpreter.interpret(graph);
         if (stage_has_tie(graph, base)) {
           ++skipped_for_ties;
           return true;  // tie-break order is legitimately index-dependent
         }
         ++checked;
         const Interpretation image =
-            interpreter.interpret(permuted, interpret_config);
+            interpreter.interpret(permuted);
         if (base.ordered_nodes.size() != image.ordered_nodes.size()) {
           return false;
         }

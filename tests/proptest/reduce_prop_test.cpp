@@ -33,6 +33,7 @@
 #include "graph/reduce.hpp"
 #include "proptest/generators.hpp"
 #include "proptest/proptest.hpp"
+#include "support/dense_oracle.hpp"
 
 namespace cfgx {
 namespace {
@@ -180,12 +181,12 @@ TEST(SparsePathProperties, AcfgConstructorMatchesDenseBitwise) {
       proptest::acfgs(24, 0.2),
       [](const Acfg& graph) {
         const MaskedNormalizedAdjacency sparse(graph);
-        const MaskedNormalizedAdjacency dense(graph.dense_adjacency(),
-                                              graph.features());
-        return sparse.a_hat().row_ptr() == dense.a_hat().row_ptr() &&
-               sparse.a_hat().col_idx() == dense.a_hat().col_idx() &&
-               sparse.a_hat().values() == dense.a_hat().values() &&
-               sparse.inv_sqrt_degree() == dense.inv_sqrt_degree();
+        const FrozenNormalization dense =
+            frozen_normalization(dense_adjacency(graph), graph.features());
+        return sparse.a_hat().row_ptr() == dense.a_hat.row_ptr() &&
+               sparse.a_hat().col_idx() == dense.a_hat.col_idx() &&
+               sparse.a_hat().values() == dense.a_hat.values() &&
+               sparse.inv_sqrt_degree() == dense.inv_sqrt_degree;
       },
       {.iterations = 150});
 }
@@ -196,7 +197,7 @@ TEST(SparsePathProperties, CountActiveNodesMatchesDense) {
       proptest::acfgs(24, 0.15),
       [](const Acfg& graph) {
         return count_active_nodes(graph) ==
-               count_active_nodes(graph.dense_adjacency(), graph.features());
+               count_active_nodes(dense_adjacency(graph), graph.features());
       },
       {.iterations = 150});
 }
@@ -218,9 +219,9 @@ TEST(SparsePathProperties, MaskedSubgraphPredictMatchesDenseMaskedPredict) {
           if (rng.bernoulli(0.6)) kept.push_back(v);
         }
         const MaskedGraph dense =
-            keep_only(graph.dense_adjacency(), graph.features(), kept);
+            keep_only(dense_adjacency(graph), graph.features(), kept);
         const Prediction a = gnn.predict(masked_subgraph(graph, kept));
-        const Prediction b = gnn.predict_masked(dense.adjacency, dense.features);
+        const Prediction b = predict_masked(gnn, dense.adjacency, dense.features);
         return a.predicted_class == b.predicted_class &&
                a.probabilities.rows() == b.probabilities.rows() &&
                a.probabilities.cols() == b.probabilities.cols() &&
