@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   // Manifest attribution for paper-scale runs (`--nodes N`): alongside the
   // node_cap config entry, record how far the coarsener would shrink the
   // eval graphs — the reduce-then-explain speedup these timings leave on
-  // the table (see bench/scaling_sweep.cpp for the measured sweep).
+  // the table (cfgbench's serve-paper-reduced workload measures it).
   {
     double ratio_sum = 0.0;
     std::size_t node_sum = 0;

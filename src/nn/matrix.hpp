@@ -194,8 +194,8 @@ void matmul_reference_rows(const Matrix& a, const Matrix& b, Matrix& out,
 // out += A * B (`out` rows zeroed on entry): the AVX2+FMA kernel when
 // simd::dispatch() selects it, else the cache-blocked scalar kernel. Under AVX2 each element differs from
 // the scalar result only by FMA contraction (bound documented in
-// simd.hpp); within one ISA it is deterministic and shared by matmul_into,
-// matmul_parallel and the fused inference tiles (nn/tiles.hpp). Every
+// simd.hpp); within one ISA it is deterministic and shared by matmul_into
+// and the fused inference tiles (nn/tiles.hpp). Every
 // element of a row depends only on that row of A, so any split of a row
 // range gives the same bits.
 void matmul_rows_dispatch(const Matrix& a, const Matrix& b, Matrix& out,

@@ -294,27 +294,4 @@ std::vector<std::size_t> transpose_slots(const CsrMatrix& a) {
   return mirror;
 }
 
-void matmul_parallel_into(const Matrix& a, const Matrix& b, Matrix& out,
-                          ThreadPool& pool) {
-  if (a.cols() != b.rows()) {
-    throw_spmm_shape("matmul_parallel", a.rows(), a.cols(), b);
-  }
-  static obs::Counter& calls =
-      obs::MetricsRegistry::global().counter("kernel.matmul_parallel.calls");
-  static obs::Histogram& seconds =
-      obs::MetricsRegistry::global().histogram("kernel.matmul_parallel.seconds");
-  calls.add();
-  obs::ScopedDurationTimer timer(seconds);
-  out.reshape(a.rows(), b.cols());
-  parallel_ranges(&pool, a.rows(), [&](std::size_t begin, std::size_t end) {
-    detail::matmul_rows_dispatch(a, b, out, begin, end);
-  });
-}
-
-Matrix matmul_parallel(const Matrix& a, const Matrix& b, ThreadPool& pool) {
-  Matrix out;
-  matmul_parallel_into(a, b, out, pool);
-  return out;
-}
-
 }  // namespace cfgx

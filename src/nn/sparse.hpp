@@ -15,7 +15,7 @@
 // in the representation instead of hiding it in a value test.
 //
 // Parallelism: every kernel takes an optional ThreadPool. Work is
-// partitioned over disjoint output regions (rows for spmm/matmul, column
+// partitioned over disjoint output regions (rows for spmm and sddmm, column
 // slices for spmm_transpose_a), so the parallel result is deterministic
 // and identical to the serial one — each output element is accumulated by
 // exactly one thread in the same order.
@@ -144,14 +144,6 @@ void sddmm_accumulate(const CsrMatrix& pattern, const Matrix& a,
 // matrix, the index of its transposed entry (j, i). O(nnz). Throws
 // std::invalid_argument when some (i, j) has no stored (j, i).
 std::vector<std::size_t> transpose_slots(const CsrMatrix& a);
-
-// Dense C = A * B with rows of C partitioned across the pool, each worker
-// running the cache-blocked microkernel on its row range. Identical
-// results to matmul(a, b); use for the large dense products (gradient
-// scatter, readout) that stay dense.
-void matmul_parallel_into(const Matrix& a, const Matrix& b, Matrix& out,
-                          ThreadPool& pool);
-Matrix matmul_parallel(const Matrix& a, const Matrix& b, ThreadPool& pool);
 
 namespace detail {
 

@@ -119,34 +119,6 @@ double Histogram::quantile(double q) const {
   return max();
 }
 
-double Histogram::quantile_from_buckets(
-    const std::vector<std::uint64_t>& buckets, double q) {
-  if (!(q >= 0.0 && q <= 1.0)) {
-    throw std::invalid_argument(
-        "Histogram::quantile_from_buckets: q outside [0, 1]");
-  }
-  if (buckets.size() != kBucketCount) {
-    throw std::invalid_argument(
-        "Histogram::quantile_from_buckets: wrong bucket count");
-  }
-  std::uint64_t total = 0;
-  for (std::uint64_t c : buckets) total += c;
-  if (total == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(
-      std::max(1.0, std::ceil(q * static_cast<double>(total))));
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    cumulative += buckets[i];
-    if (cumulative >= target) {
-      const double lo = bucket_lower_bound(i);
-      const double hi =
-          i + 1 < kBucketCount ? bucket_lower_bound(i + 1) : lo * 2.0;
-      return std::sqrt(lo * hi);
-    }
-  }
-  return bucket_lower_bound(kBucketCount - 1);
-}
-
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
   std::vector<std::uint64_t> out(kBucketCount);
   for (std::size_t i = 0; i < kBucketCount; ++i) {
@@ -254,7 +226,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     stats.p50 = histogram->quantile(0.50);
     stats.p95 = histogram->quantile(0.95);
     stats.p99 = histogram->quantile(0.99);
-    stats.buckets = histogram->bucket_counts();
     snap.histograms.push_back(std::move(stats));
   }
   return snap;

@@ -122,17 +122,6 @@ class Histogram {
 
   std::vector<std::uint64_t> bucket_counts() const;
 
-  // Nearest-rank quantile over a standalone bucket-count array laid out
-  // like this histogram's buckets (geometric bucket midpoints, no min/max
-  // clamp — the caller has no exact extremes). The total is the SUM of the
-  // array, not an external count, so a windowed delta whose count counter
-  // lags its bucket increments stays self-consistent. Returns 0.0 for an
-  // all-zero array; throws std::invalid_argument outside [0, 1] or on a
-  // wrong-sized array. This is what the exporter uses to turn
-  // bucket-count diffs between two snapshots into interval percentiles.
-  static double quantile_from_buckets(const std::vector<std::uint64_t>& buckets,
-                                      double q);
-
   void reset() noexcept;
 
  private:
@@ -156,18 +145,12 @@ struct HistogramStats {
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
-  // Raw per-bucket counts (Histogram::kBucketCount entries) so consumers
-  // that need more than the precomputed percentiles — the exporter's
-  // windowed bucket diffs, Prometheus exposition — work from one snapshot.
-  // Not serialized by write_json (manifests keep their compact schema).
-  std::vector<std::uint64_t> buckets;
 };
 
 // Point-in-time copy of every registered metric, for manifests and tests.
 // Iteration order is DETERMINISTIC: each section is sorted by metric name
-// (the registry stores metrics in ordered maps), so exposition output,
-// manifests, exporter JSONL, and golden tests are stable across runs,
-// platforms, and registration order.
+// (the registry stores metrics in ordered maps), so manifests, /statusz and
+// golden tests are stable across runs, platforms, and registration order.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;

@@ -51,8 +51,8 @@ std::string http_response(int code, const char* reason,
 
 }  // namespace
 
-AdminServer::AdminServer(int port, Handler metrics, Handler statusz)
-    : metrics_(std::move(metrics)), statusz_(std::move(statusz)) {
+AdminServer::AdminServer(int port, Handler statusz)
+    : statusz_(std::move(statusz)) {
   if (port < 0 || port > 65535) {
     throw std::runtime_error("AdminServer: port outside [0, 65535]");
   }
@@ -169,14 +169,10 @@ void AdminServer::handle_connection(int client_fd) {
                              "only GET is supported\n");
   } else if (path == "/healthz") {
     response = http_response(200, "OK", "text/plain", "ok\n");
-  } else if (path == "/metrics" || path == "/statusz") {
-    const Handler& handler = path == "/metrics" ? metrics_ : statusz_;
-    const char* content_type = path == "/metrics"
-                                   ? "text/plain; version=0.0.4"
-                                   : "application/json";
+  } else if (path == "/statusz") {
     try {
-      response = http_response(200, "OK", content_type,
-                               handler ? handler() : std::string());
+      response = http_response(200, "OK", "application/json",
+                               statusz_ ? statusz_() : std::string());
     } catch (const std::exception& e) {
       response = http_response(500, "Internal Server Error", "text/plain",
                                std::string(e.what()) + "\n");
@@ -185,9 +181,8 @@ void AdminServer::handle_connection(int client_fd) {
                                "handler failed\n");
     }
   } else {
-    response = http_response(
-        404, "Not Found", "text/plain",
-        "routes: /metrics /healthz /statusz\n");
+    response = http_response(404, "Not Found", "text/plain",
+                             "routes: /healthz /statusz\n");
   }
   write_all(client_fd, response);
 }

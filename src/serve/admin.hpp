@@ -1,27 +1,25 @@
 // Minimal loopback HTTP/1.0 admin endpoint for a running engine.
 //
 // A long-running ExplanationEngine is invisible without a hole to look
-// through: this server makes it scrapeable while it serves. It is
+// through: this server makes it inspectable while it serves. It is
 // deliberately NOT a web framework — one acceptor thread, HTTP/1.0 only
 // (no keep-alive, no chunking, Connection: close on every response),
 // loopback-bound (127.0.0.1; exposing it beyond the host is a proxy's
-// job), GET-only, three routes:
+// job), GET-only, two routes:
 //
-//   /metrics  -> Prometheus text exposition of the global registry
 //   /healthz  -> "ok\n" (liveness: the acceptor thread is responsive)
 //   /statusz  -> engine status JSON (uptime, queue depth, in-flight,
 //                batch stats, ISA, last error, SLO burn rates)
 //
-// Handlers are injected as callbacks so the server knows nothing about
-// the engine (the future training pipeline can mount its own /statusz).
-// Requests are handled sequentially on the acceptor thread: a scrape is
-// a few kilobytes once a second, and sequential handling keeps the
-// server trivially race-free — handler callbacks must be thread-safe
-// only against the process they observe, not against each other.
+// The /statusz body comes from an injected callback, so the server knows
+// nothing about the engine. Requests are handled sequentially on the
+// acceptor thread: a status check is a few kilobytes once in a while, and
+// sequential handling keeps the server trivially race-free — the callback
+// must be thread-safe only against the process it observes.
 //
 // Off by default: the engine starts one only when ServeConfig::admin_port
 // is >= 0. Port 0 binds an ephemeral port; port() reports the bound port
-// (that is what the tests and the bench print for curl).
+// (that is what the tests print for curl).
 #pragma once
 
 #include <atomic>
@@ -38,10 +36,10 @@ class AdminServer {
   using Handler = std::function<std::string()>;
 
   // Binds and starts the acceptor thread immediately; throws
-  // std::runtime_error when the port cannot be bound. `metrics` returns
-  // the /metrics body, `statusz` the /statusz JSON body; a throwing
-  // handler yields a 500 response, never a crash.
-  AdminServer(int port, Handler metrics, Handler statusz);
+  // std::runtime_error when the port cannot be bound. `statusz` returns
+  // the /statusz JSON body; a throwing handler yields a 500 response,
+  // never a crash.
+  AdminServer(int port, Handler statusz);
   ~AdminServer();  // stop()
 
   AdminServer(const AdminServer&) = delete;
@@ -58,7 +56,6 @@ class AdminServer {
   void serve_loop();
   void handle_connection(int client_fd);
 
-  Handler metrics_;
   Handler statusz_;
   int listen_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  // self-pipe unblocking poll() on stop

@@ -1,6 +1,7 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -12,7 +13,6 @@
 #include "nn/simd.hpp"
 #include "nn/sparse.hpp"
 #include "nn/workspace.hpp"
-#include "obs/exposition.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -118,12 +118,7 @@ ExplanationEngine::ExplanationEngine(const GnnClassifier& gnn,
   if (config_.admin_port >= 0) {
     try {
       admin_ = std::make_unique<AdminServer>(
-          config_.admin_port,
-          [] {
-            return obs::render_prometheus(
-                obs::MetricsRegistry::global().snapshot());
-          },
-          [this] { return statusz_json(); });
+          config_.admin_port, [this] { return statusz_json(); });
     } catch (...) {
       // A failed bind must not leak a running dispatcher: ~thread on a
       // joinable thread would terminate the process.
@@ -144,6 +139,12 @@ std::future<ExplanationResponse> ExplanationEngine::submit(
   if (graph.feature_count() != gnn_->config().feature_dim) {
     throw std::invalid_argument(
         "ExplanationEngine::submit: feature_count does not match the GNN");
+  }
+  const Matrix& features = graph.features();
+  if (!std::all_of(features.data(), features.data() + features.size(),
+                   [](double v) { return std::isfinite(v); })) {
+    throw std::invalid_argument(
+        "ExplanationEngine::submit: non-finite feature");
   }
 
   obs::TraceSpan span("serve.submit", "serve");

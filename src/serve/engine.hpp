@@ -55,10 +55,9 @@
 //     latency objectives, multi-window burn rate, threshold-crossing
 //     logs), surfaced by statusz_json();
 //   * statusz_json() renders the live engine state (uptime, queue depth,
-//     in-flight, ISA, last error, SLO burns) and, together with the
-//     Prometheus exposition of the global registry, backs the optional
+//     in-flight, ISA, last error, SLO burns) and backs the optional
 //     loopback admin endpoint (ServeConfig::admin_port >= 0):
-//     GET /metrics | /healthz | /statusz while the engine serves.
+//     GET /healthz | /statusz while the engine serves.
 #pragma once
 
 #include <atomic>
@@ -104,8 +103,8 @@ struct ServeConfig {
   std::size_t max_batch = 8;
   // Workers for the explainer fan-out (0 = hardware concurrency).
   std::size_t explain_workers = 0;
-  // Loopback admin endpoint (/metrics, /healthz, /statusz). Negative =
-  // disabled (the default); 0 = ephemeral port (admin_port() tells).
+  // Loopback admin endpoint (/healthz, /statusz). Negative = disabled
+  // (the default); 0 = ephemeral port (admin_port() tells).
   int admin_port = -1;
   // Requests with submit-to-finish latency above this are captured as
   // slow-request exemplars; 0 disables capture.
@@ -122,8 +121,9 @@ struct ServeConfig {
   // response ranking is expanded back to ORIGINAL basic-block ids — callers
   // observe the same node id space in both modes. The reported prediction
   // is the classifier's verdict on the coarse graph (the reduction is
-  // designed to preserve the Table-I feature distribution; the bench sweep
-  // reports the measured fidelity@k against full-graph explanations).
+  // designed to preserve the Table-I feature distribution; cfgbench's
+  // serve-paper-reduced workload reports top20_overlap, the agreement of
+  // the projected ranking with the full-graph explanation).
   std::optional<ReduceConfig> reduction;
 };
 
@@ -175,8 +175,8 @@ class ExplanationEngine {
   // capacity (QueueFull) or the engine is stopped (EngineStopped), the
   // returned future is already completed with that status. Throws
   // std::invalid_argument for a graph the borrowed GNN cannot classify
-  // (zero nodes, or feature_count != the GNN's feature_dim) — caller bug,
-  // not a runtime condition.
+  // (zero nodes, feature_count != the GNN's feature_dim, or any NaN or
+  // infinite feature) — caller bug, not a runtime condition.
   std::future<ExplanationResponse> submit(
       Acfg graph, Clock::time_point deadline = Clock::time_point::max());
 

@@ -4,13 +4,17 @@
 // MaskedNormalizedAdjacency constructor) the reduction work rides on.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <numeric>
+#include <utility>
 #include <vector>
 
+#include "dataset/generator.hpp"
 #include "graph/ops.hpp"
 #include "graph/reduce.hpp"
 #include "support/dense_oracle.hpp"
+#include "util/rng.hpp"
 
 namespace cfgx {
 namespace {
@@ -403,6 +407,44 @@ TEST(MaskedNormalizedAdjacency, AcfgConstructorIsBitIdenticalToDense) {
     EXPECT_EQ(sv[p], dv[p]) << "value index " << p;
   }
   EXPECT_EQ(sparse.inv_sqrt_degree(), dense.inv_sqrt_degree);
+}
+
+// Seeded paper-scale graphs reduce to exact, known sizes. The seeds are a
+// pure function of (n, rep): `Rng(0x5ca11 * (n + 1) + rep)`, family
+// `rep % (kFamilyCount - 1)`, three graphs per requested size. Any change
+// to the generator or to a coarsening pass shows up here as a different
+// node count, and the per-size mean ratio is pinned bit for bit.
+TEST(ReduceGraph, SeededPaperScaleGraphsReduceToExactSizes) {
+  struct Point {
+    std::size_t requested;
+    std::array<std::pair<std::size_t, std::size_t>, 3> sizes;
+    double mean_ratio;
+  };
+  const std::array<Point, 4> points = {{
+      {256, {{{625, 361}, {334, 199}, {330, 195}}}, 0.58810582471420803},
+      {1024, {{{1077, 645}, {1095, 645}, {1208, 659}}}, 0.57781889702892686},
+      {4096, {{{4165, 2371}, {4158, 2331}, {4854, 2877}}}, 0.57419360447478984},
+      {7352, {{{7494, 4245}, {11602, 6817}, {7359, 4287}}}, 0.57885874937680548},
+  }};
+  for (const Point& point : points) {
+    GeneratorConfig config;
+    config.target_blocks = point.requested;
+    double ratio_sum = 0.0;
+    for (std::size_t rep = 0; rep < point.sizes.size(); ++rep) {
+      const Family family = static_cast<Family>(rep % (kFamilyCount - 1));
+      Rng rng(0x5ca11u * (point.requested + 1) + rep);
+      const Acfg graph = generate_acfg(family, rng, config);
+      const ReducedGraph reduced = reduce_graph(graph);
+      EXPECT_EQ(graph.num_nodes(), point.sizes[rep].first)
+          << "n=" << point.requested << " rep=" << rep;
+      EXPECT_EQ(reduced.graph.num_nodes(), point.sizes[rep].second)
+          << "n=" << point.requested << " rep=" << rep;
+      ratio_sum += reduced.reduction_ratio();
+    }
+    EXPECT_EQ(ratio_sum / static_cast<double>(point.sizes.size()),
+              point.mean_ratio)
+        << "n=" << point.requested;
+  }
 }
 
 }  // namespace

@@ -132,15 +132,6 @@ TEST(SpmmTest, ParallelMatchesSerialExactly) {
   EXPECT_EQ(spmm_transpose_a(csr, h, &pool), spmm_transpose_a(csr, h));
 }
 
-TEST(MatmulParallelTest, MatchesSerialMatmulExactly) {
-  Rng rng(5);
-  ThreadPool pool(3);
-  const Matrix a = random_dense(33, 21, rng);
-  const Matrix b = random_dense(21, 17, rng);
-  EXPECT_EQ(matmul_parallel(a, b, pool), matmul(a, b));
-  EXPECT_THROW(matmul_parallel(a, Matrix(5, 5), pool), std::invalid_argument);
-}
-
 // Sparsity semantics: a structural zero contributes nothing, even against
 // a non-finite operand — the skip is explicit in the representation.
 TEST(SpmmTest, StructuralZeroesSkipNonFiniteOperandRows) {

@@ -147,15 +147,12 @@ TEST_F(SimdOracle, Avx2VariantsBitIdenticalWithinIsa) {
   ThreadPool pool(4);
   Matrix out;  // reused: dirty-destination path included
   CHECK_PROPERTY(
-      "within AVX2: wrapper == _into == parallel == CSR",
+      "within AVX2: wrapper == _into == CSR (serial and pooled)",
       hostile_cases(48),
       [&](const MatmulCase& c) {
         const Matrix expected = matmul(c.a, c.b);
         matmul_into(c.a, c.b, out);
         if (!bit_identical(out, expected)) return false;
-        if (!bit_identical(matmul_parallel(c.a, c.b, pool), expected)) {
-          return false;
-        }
         // Dense-vs-CSR identity (fma(0, b, acc) == acc mirrors the scalar
         // zero-skip) must keep holding under AVX2.
         const CsrMatrix csr = CsrMatrix::from_dense(c.a);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "dataset/corpus.hpp"
-#include "obs/exposition.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "serve/engine.hpp"
@@ -64,21 +63,15 @@ std::string body_of(const std::string& response) {
 }
 
 TEST(AdminServerTest, ServesInjectedHandlersOnEphemeralPort) {
-  AdminServer server(
-      0, [] { return std::string("metric_a 1\n"); },
-      [] { return std::string("{\"x\":1}"); });
+  AdminServer server(0, [] { return std::string("{\"x\":1}"); });
   ASSERT_GT(server.port(), 0);
 
   const std::string health = http_get(server.port(), "/healthz");
   EXPECT_NE(health.find("HTTP/1.0 200"), std::string::npos) << health;
   EXPECT_EQ(body_of(health), "ok\n");
 
-  const std::string metrics = http_get(server.port(), "/metrics");
-  EXPECT_NE(metrics.find("200"), std::string::npos);
-  EXPECT_NE(metrics.find("text/plain"), std::string::npos);
-  EXPECT_EQ(body_of(metrics), "metric_a 1\n");
-
   const std::string statusz = http_get(server.port(), "/statusz");
+  EXPECT_NE(statusz.find("200"), std::string::npos);
   EXPECT_NE(statusz.find("application/json"), std::string::npos);
   EXPECT_EQ(body_of(statusz), "{\"x\":1}");
 
@@ -88,36 +81,36 @@ TEST(AdminServerTest, ServesInjectedHandlersOnEphemeralPort) {
 }
 
 TEST(AdminServerTest, UnknownRouteAndMethodAreTypedErrors) {
-  AdminServer server(0, [] { return std::string(); },
-                     [] { return std::string(); });
-  EXPECT_NE(http_get(server.port(), "/nope").find("HTTP/1.0 404"),
+  AdminServer server(0, [] { return std::string(); });
+  const std::string missing = http_get(server.port(), "/nope");
+  EXPECT_NE(missing.find("HTTP/1.0 404"), std::string::npos);
+  EXPECT_EQ(body_of(missing), "routes: /healthz /statusz\n");
+  EXPECT_NE(http_get(server.port(), "/metrics").find("HTTP/1.0 404"),
             std::string::npos);
-  EXPECT_NE(http_get(server.port(), "/metrics", "POST").find("HTTP/1.0 405"),
+  EXPECT_NE(http_get(server.port(), "/statusz", "POST").find("HTTP/1.0 405"),
             std::string::npos);
 }
 
 TEST(AdminServerTest, ThrowingHandlerYieldsServerErrorNotACrash) {
-  AdminServer server(
-      0, []() -> std::string { throw std::runtime_error("boom"); },
-      [] { return std::string("{}"); });
-  EXPECT_NE(http_get(server.port(), "/metrics").find("HTTP/1.0 500"),
-            std::string::npos);
+  AdminServer server(0, []() -> std::string {
+    throw std::runtime_error("boom");
+  });
+  const std::string failed = http_get(server.port(), "/statusz");
+  EXPECT_NE(failed.find("HTTP/1.0 500"), std::string::npos);
+  EXPECT_EQ(body_of(failed), "boom\n");
   // The acceptor thread survived the exception.
-  EXPECT_NE(http_get(server.port(), "/statusz").find("200"),
+  EXPECT_NE(http_get(server.port(), "/healthz").find("200"),
             std::string::npos);
 }
 
 TEST(AdminServerTest, BindConflictThrows) {
-  AdminServer first(0, [] { return std::string(); },
-                    [] { return std::string(); });
-  EXPECT_THROW(AdminServer(first.port(), [] { return std::string(); },
-                           [] { return std::string(); }),
+  AdminServer first(0, [] { return std::string(); });
+  EXPECT_THROW(AdminServer(first.port(), [] { return std::string(); }),
                std::runtime_error);
 }
 
 TEST(AdminServerTest, StopIsIdempotentAndConcurrent) {
-  AdminServer server(0, [] { return std::string(); },
-                     [] { return std::string(); });
+  AdminServer server(0, [] { return std::string(); });
   std::vector<std::thread> stoppers;
   for (int i = 0; i < 4; ++i) {
     stoppers.emplace_back([&server] { server.stop(); });
@@ -200,24 +193,7 @@ TEST_F(AdminEngineTest, StatuszReportsLiveEngineStateAsValidJson) {
   EXPECT_TRUE(doc.at("slo").at("availability").has("burn_short"));
 }
 
-TEST_F(AdminEngineTest, MetricsRouteServesPrometheusExposition) {
-  ServeConfig config;
-  config.admin_port = 0;
-  ExplanationEngine engine(gnn_, cfg_factory(), config);
-  EXPECT_EQ(engine.submit(corpus_graph(0)).get().status, ResponseStatus::Ok);
-
-  const std::string body = body_of(http_get(engine.admin_port(), "/metrics"));
-  EXPECT_NE(body.find("# TYPE serve_requests_served counter\n"),
-            std::string::npos)
-      << body;
-  EXPECT_NE(body.find("# TYPE engine_uptime_seconds gauge\n"),
-            std::string::npos);
-  // Two scrapes of an idle engine are byte-identical except gauges that
-  // move with time; the body stays parseable exposition either way.
-  EXPECT_NE(body.find("serve_requests_served 1\n"), std::string::npos);
-}
-
-// Acceptance hammer: scrapers pound every route while clients keep the
+// Acceptance hammer: scrapers pound both routes while clients keep the
 // engine serving. Run under TSan in CI (serve label) — the point is that
 // scraping is safe AGAINST serving, not merely that both survive alone.
 TEST_F(AdminEngineTest, ConcurrentScrapeWhileServingHammer) {
@@ -234,9 +210,9 @@ TEST_F(AdminEngineTest, ConcurrentScrapeWhileServingHammer) {
   std::vector<std::thread> scrapers;
   for (int t = 0; t < 3; ++t) {
     scrapers.emplace_back([&, t] {
-      const char* routes[] = {"/metrics", "/statusz", "/healthz"};
+      const char* routes[] = {"/statusz", "/healthz"};
       while (!stop.load(std::memory_order_relaxed)) {
-        const std::string response = http_get(port, routes[t % 3]);
+        const std::string response = http_get(port, routes[t % 2]);
         if (response.find("200") == std::string::npos) {
           scrape_failures.fetch_add(1);
         }

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -140,6 +141,22 @@ TEST_F(EngineTest, SubmitValidatesGraphAgainstTheGnn) {
                std::invalid_argument);
 }
 
+// One non-finite feature would make every class probability NaN and the
+// ranking meaningless; submit rejects it like any other malformed graph.
+TEST_F(EngineTest, SubmitRejectsNonFiniteFeatures) {
+  ExplanationEngine engine(gnn_, cfg_factory());
+  const Acfg clean = corpus_graph(11);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Acfg graph = clean;
+    graph.features()(graph.num_nodes() / 2, 4) = bad;
+    EXPECT_THROW(engine.submit(std::move(graph)), std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(engine.submit(clean).get().status, ResponseStatus::Ok);
+}
+
 TEST_F(EngineTest, ExpiredDeadlineIsATypedResponseNotACrash) {
   ExplanationEngine engine(gnn_, cfg_factory());
   const Acfg graph = corpus_graph(0);
@@ -152,15 +169,18 @@ TEST_F(EngineTest, ExpiredDeadlineIsATypedResponseNotACrash) {
   EXPECT_EQ(ok.get().status, ResponseStatus::Ok);
 }
 
-// Explainer whose explain() spins until the shared gate opens; used to
-// hold the dispatcher busy so queue states can be set up deterministically.
+// Explainer whose explain() spins until the shared gate opens, then ranks
+// with `inner` (identity order when null); used to hold the dispatcher busy
+// so queue states and batch compositions can be set up deterministically.
 class GatedExplainer : public Explainer {
  public:
-  explicit GatedExplainer(std::shared_ptr<std::atomic<bool>> gate)
-      : gate_(std::move(gate)) {}
+  explicit GatedExplainer(std::shared_ptr<std::atomic<bool>> gate,
+                          std::unique_ptr<Explainer> inner = nullptr)
+      : gate_(std::move(gate)), inner_(std::move(inner)) {}
   std::string name() const override { return "Gated"; }
   NodeRanking explain(const Acfg& graph) override {
     while (!gate_->load()) std::this_thread::sleep_for(1ms);
+    if (inner_) return inner_->explain(graph);
     NodeRanking ranking;
     for (std::uint32_t i = 0; i < graph.num_nodes(); ++i) {
       ranking.order.push_back(i);
@@ -170,6 +190,7 @@ class GatedExplainer : public Explainer {
 
  private:
   std::shared_ptr<std::atomic<bool>> gate_;
+  std::unique_ptr<Explainer> inner_;
 };
 
 void wait_for_empty_queue(const ExplanationEngine& engine) {
@@ -298,6 +319,64 @@ TEST_F(EngineTest, SteadyStateServingIsWorkspaceAllocFree) {
   // Warmed-up serving performs no fresh workspace allocation: prepare
   // leases and kernel scratch are all served from pooled capacity.
   EXPECT_EQ(allocated.value(), allocated_before);
+
+  obs::set_metrics_enabled(saved);
+}
+
+// The steady-state allocation invariant on batches of K > 1 distinct
+// graphs. Every round is the same cycle on the same threads: a 1-graph
+// gate batch held at the closed gate while exactly K = max_batch graphs
+// queue behind it, then those K as one batch. With one explain worker,
+// each thread's workspace high-water mark is fixed by that cycle, so
+// after one warm-up round serving allocates nothing.
+TEST_F(EngineTest, PinnedMaxBatchRoundsAreWorkspaceAllocFree) {
+  const bool saved = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  obs::Counter& allocated = registry.counter("workspace.bytes_allocated");
+  obs::Counter& reused = registry.counter("workspace.bytes_reused");
+  obs::Histogram& batch_sizes = registry.histogram("serve.batch_size");
+
+  constexpr std::size_t kBatch = 4;
+  ServeConfig config;
+  config.max_batch = kBatch;
+  config.explain_workers = 1;
+  auto gate = std::make_shared<std::atomic<bool>>(false);
+  ExplainerFactory inner = cfg_factory();
+  ExplanationEngine engine(
+      gnn_,
+      [gate, inner] { return std::make_unique<GatedExplainer>(gate, inner()); },
+      config);
+
+  const Acfg gate_graph = corpus_graph(0);
+  std::vector<Acfg> graphs;
+  for (std::size_t i = 1; i <= kBatch; ++i) graphs.push_back(corpus_graph(i));
+
+  const auto run_round = [&](int round) {
+    batch_sizes.reset();
+    gate->store(false);
+    std::future<ExplanationResponse> held = engine.submit(gate_graph);
+    wait_for_empty_queue(engine);  // the dispatcher holds `held` at the gate
+    std::vector<std::future<ExplanationResponse>> futures;
+    for (const Acfg& graph : graphs) futures.push_back(engine.submit(graph));
+    gate->store(true);
+    EXPECT_EQ(held.get().status, ResponseStatus::Ok) << "round " << round;
+    for (auto& future : futures) {
+      EXPECT_EQ(future.get().status, ResponseStatus::Ok) << "round " << round;
+    }
+    // The composition is checked, not assumed: the gate alone, then K.
+    EXPECT_EQ(batch_sizes.count(), 2u) << "round " << round;
+    EXPECT_EQ(batch_sizes.min(), 1.0) << "round " << round;
+    EXPECT_EQ(batch_sizes.max(), static_cast<double>(kBatch))
+        << "round " << round;
+  };
+
+  run_round(0);  // warm-up
+  const std::uint64_t allocated_before = allocated.value();
+  const std::uint64_t reused_before = reused.value();
+  for (int round = 1; round <= 5; ++round) run_round(round);
+  EXPECT_EQ(allocated.value(), allocated_before);
+  EXPECT_GT(reused.value(), reused_before);  // the pools were in use
 
   obs::set_metrics_enabled(saved);
 }

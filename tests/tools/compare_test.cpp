@@ -12,15 +12,6 @@ namespace {
 
 using obs::JsonValue;
 
-const char* kServeBaseline = R"({
-  "schema": "cfgx.bench.serve.v1",
-  "totals": {"ok": 256, "queue_full_rejections": 3, "explain_errors": 0,
-             "other": 0},
-  "explanations_per_second": 1000.0,
-  "latency": {"p50_s": 0.002, "p95_s": 0.004},
-  "workspace": {"bytes_allocated_delta": 0}
-})";
-
 const char* kKernelsBaseline = R"({
   "schema": "cfgx.bench.kernels.v2",
   "isa": "avx2",
@@ -32,83 +23,19 @@ const char* kKernelsBaseline = R"({
   ]
 })";
 
-const char* kScalingBaseline = R"({
-  "schema": "cfgx.bench.scaling.v1",
-  "isa": "avx2",
-  "cases": [
-    {"name": "full", "n": 256, "reduction_ratio": 1.0,
-     "fidelity_at_20": 1.0, "per_explanation": {"mean_ms": 8.0}},
-    {"name": "reduced", "n": 256, "reduction_ratio": 0.58,
-     "fidelity_at_20": 0.67, "per_explanation": {"mean_ms": 4.0}},
-    {"name": "full", "n": 7352, "reduction_ratio": 1.0,
-     "fidelity_at_20": 1.0, "per_explanation": {"mean_ms": 280.0}},
-    {"name": "reduced", "n": 7352, "reduction_ratio": 0.58,
-     "fidelity_at_20": 1.0, "per_explanation": {"mean_ms": 64.0}}
-  ],
-  "summary": {"full_smallest_mean_ms": 8.0, "reduced_largest_mean_ms": 64.0,
-              "reduced_largest_over_full_smallest": 8.0}
-})";
-
 JsonValue parse(const std::string& text) { return JsonValue::parse(text); }
 
-TEST(BenchCompareTest, IdenticalServeRunsPass) {
-  const JsonValue doc = parse(kServeBaseline);
-  const CompareReport report = compare_bench_json(doc, doc, 2.0);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.exit_code(), 0);
-  EXPECT_EQ(report.schema, "cfgx.bench.serve.v1");
-  EXPECT_GE(report.checks.size(), 6u);
-}
-
-TEST(BenchCompareTest, ThroughputCollapseIsARegression) {
-  JsonValue fresh = parse(kServeBaseline);
-  fresh.members["explanations_per_second"].number_value = 400.0;  // > 2x down
-  const CompareReport report =
-      compare_bench_json(parse(kServeBaseline), fresh, 2.0);
-  EXPECT_EQ(report.exit_code(), 1);
-  EXPECT_EQ(report.regressions(), 1u);
-  // 500.0 would be exactly baseline/tolerance: inside the band.
-  fresh.members["explanations_per_second"].number_value = 501.0;
-  EXPECT_EQ(compare_bench_json(parse(kServeBaseline), fresh, 2.0).exit_code(),
-            0);
-}
-
-TEST(BenchCompareTest, LatencyGrowthIsARegression) {
-  JsonValue fresh = parse(kServeBaseline);
-  fresh.members["latency"].members["p95_s"].number_value = 0.1;
-  const CompareReport report =
-      compare_bench_json(parse(kServeBaseline), fresh, 2.0);
-  EXPECT_EQ(report.exit_code(), 1);
-}
-
-TEST(BenchCompareTest, ZeroInvariantsIgnoreTolerance) {
-  JsonValue fresh = parse(kServeBaseline);
-  // One stray explain error: within any ratio tolerance of 0, but exact
-  // invariants don't do ratios.
-  fresh.members["totals"].members["explain_errors"].number_value = 1.0;
-  EXPECT_EQ(compare_bench_json(parse(kServeBaseline), fresh, 100.0)
-                .exit_code(),
-            1);
-
-  JsonValue alloc = parse(kServeBaseline);
-  alloc.members["workspace"].members["bytes_allocated_delta"].number_value =
-      64.0;
-  EXPECT_EQ(compare_bench_json(parse(kServeBaseline), alloc, 100.0)
-                .exit_code(),
-            1);
-}
-
 TEST(BenchCompareTest, SchemaDriftIsAStructureFailure) {
-  JsonValue fresh = parse(kServeBaseline);
-  fresh.members["schema"].string_value = "cfgx.bench.serve.v2";
+  JsonValue fresh = parse(kKernelsBaseline);
+  fresh.members["schema"].string_value = "cfgx.bench.kernels.v3";
   const CompareReport report =
-      compare_bench_json(parse(kServeBaseline), fresh, 2.0);
+      compare_bench_json(parse(kKernelsBaseline), fresh, 2.0);
   EXPECT_EQ(report.exit_code(), 2);
   EXPECT_EQ(report.structure_failures(), 1u);
 
-  JsonValue no_schema = parse(kServeBaseline);
+  JsonValue no_schema = parse(kKernelsBaseline);
   no_schema.members.erase("schema");
-  EXPECT_EQ(compare_bench_json(parse(kServeBaseline), no_schema, 2.0)
+  EXPECT_EQ(compare_bench_json(parse(kKernelsBaseline), no_schema, 2.0)
                 .exit_code(),
             2);
   EXPECT_EQ(
@@ -119,16 +46,10 @@ TEST(BenchCompareTest, SchemaDriftIsAStructureFailure) {
 }
 
 TEST(BenchCompareTest, MissingMetricIsAStructureFailure) {
-  JsonValue fresh = parse(kServeBaseline);
-  fresh.members.erase("explanations_per_second");
-  EXPECT_EQ(compare_bench_json(parse(kServeBaseline), fresh, 2.0).exit_code(),
-            2);
-}
-
-TEST(BenchCompareTest, EmptyFreshServeRunIsAStructureFailure) {
-  JsonValue fresh = parse(kServeBaseline);
-  fresh.members["totals"].members["ok"].number_value = 0.0;
-  EXPECT_EQ(compare_bench_json(parse(kServeBaseline), fresh, 2.0).exit_code(),
+  JsonValue fresh = parse(kKernelsBaseline);
+  fresh.members["cases"].items[0].members.erase("speedup_mean");
+  EXPECT_EQ(compare_bench_json(parse(kKernelsBaseline), fresh, 2.0)
+                .exit_code(),
             2);
 }
 
@@ -180,112 +101,32 @@ TEST(BenchCompareTest, KernelZeroAllocInvariantIsExact) {
             1);
 }
 
-TEST(BenchCompareTest, IdenticalScalingRunsPass) {
-  const JsonValue doc = parse(kScalingBaseline);
-  const CompareReport report = compare_bench_json(doc, doc, 2.0);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.schema, "cfgx.bench.scaling.v1");
-  // 3 checks per sweep case + the headline ceiling.
-  EXPECT_EQ(report.checks.size(), 13u);
-}
-
-TEST(BenchCompareTest, ScalingLatencyIsBandedPerSweepPoint) {
-  JsonValue fresh = parse(kScalingBaseline);
-  fresh.members["cases"]
-      .items[3]
-      .members["per_explanation"]
-      .members["mean_ms"]
-      .number_value = 200.0;  // > 2x up at reduced@n7352 only
-  const CompareReport report =
-      compare_bench_json(parse(kScalingBaseline), fresh, 2.0);
-  EXPECT_EQ(report.exit_code(), 1);
-  EXPECT_EQ(report.regressions(), 1u);
-  for (const MetricCheck& check : report.checks) {
-    if (check.status == CheckStatus::Regressed) {
-      EXPECT_EQ(check.name, "cases.reduced@n7352.per_explanation.mean_ms");
-    }
-  }
-}
-
-TEST(BenchCompareTest, ScalingReductionRatioIsExact) {
-  // The sweep's graphs are seeded: the coarsener must reduce them
-  // identically run over run, regardless of timing tolerance.
-  JsonValue fresh = parse(kScalingBaseline);
-  fresh.members["cases"].items[1].members["reduction_ratio"].number_value =
-      0.60;
-  EXPECT_EQ(compare_bench_json(parse(kScalingBaseline), fresh, 100.0)
-                .exit_code(),
-            1);
-
-  JsonValue empty = parse(kScalingBaseline);
-  empty.members["cases"].items[1].members["reduction_ratio"].number_value =
-      0.0;
-  EXPECT_EQ(compare_bench_json(parse(kScalingBaseline), empty, 100.0)
-                .exit_code(),
-            1);
-}
-
-TEST(BenchCompareTest, ScalingFidelityAllowsOneGraphFlip) {
-  JsonValue fresh = parse(kScalingBaseline);
-  // 1.0 -> 0.67: one of three graphs flipped — inside the noise band.
-  fresh.members["cases"].items[2].members["fidelity_at_20"].number_value =
-      0.67;
-  EXPECT_EQ(compare_bench_json(parse(kScalingBaseline), fresh, 2.0)
-                .exit_code(),
-            0);
-  // 1.0 -> 0.33: two flips is a real quality regression.
-  fresh.members["cases"].items[2].members["fidelity_at_20"].number_value =
-      0.33;
-  EXPECT_EQ(compare_bench_json(parse(kScalingBaseline), fresh, 2.0)
-                .exit_code(),
-            1);
-}
-
-TEST(BenchCompareTest, ScalingPaperScaleCeilingIsHard) {
-  // The headline ratio has an absolute ceiling (10x at tolerance 1), not
-  // just a baseline-relative band.
-  JsonValue fresh = parse(kScalingBaseline);
-  fresh.members["summary"]
-      .members["reduced_largest_over_full_smallest"]
-      .number_value = 11.0;
-  EXPECT_EQ(compare_bench_json(parse(kScalingBaseline), fresh, 1.0)
-                .exit_code(),
-            1);
-  fresh.members["summary"]
-      .members["reduced_largest_over_full_smallest"]
-      .number_value = 9.5;
-  EXPECT_EQ(compare_bench_json(parse(kScalingBaseline), fresh, 1.0)
-                .exit_code(),
-            0);
-}
-
-TEST(BenchCompareTest, ScalingIsaMismatchIsAStructureFailure) {
-  JsonValue fresh = parse(kScalingBaseline);
-  fresh.members["isa"].string_value = "scalar";
-  EXPECT_EQ(compare_bench_json(parse(kScalingBaseline), fresh, 2.0)
-                .exit_code(),
-            2);
-}
-
 TEST(BenchCompareTest, StructureOutranksRegressionInExitCode) {
-  JsonValue fresh = parse(kServeBaseline);
-  fresh.members["explanations_per_second"].number_value = 1.0;  // regression
-  fresh.members["latency"].members.erase("p50_s");              // structure
+  JsonValue fresh = parse(kKernelsBaseline);
+  JsonValue& first = fresh.members["cases"].items[0];
+  first.members["speedup_mean"].number_value = 1.0;  // regression
+  first.members.erase("workspace_after_loop");       // structure
   const CompareReport report =
-      compare_bench_json(parse(kServeBaseline), fresh, 2.0);
+      compare_bench_json(parse(kKernelsBaseline), fresh, 2.0);
   EXPECT_GE(report.regressions(), 1u);
   EXPECT_GE(report.structure_failures(), 1u);
   EXPECT_EQ(report.exit_code(), 2);
 }
 
 TEST(BenchCompareTest, PrintReportListsEveryCheck) {
-  const JsonValue doc = parse(kServeBaseline);
+  const JsonValue doc = parse(kKernelsBaseline);
   const CompareReport report = compare_bench_json(doc, doc, 2.0);
+  EXPECT_TRUE(report.ok());
+  // Two checks per case: the speedup band and the zero-allocation delta.
+  EXPECT_EQ(report.checks.size(), 4u);
   std::ostringstream out;
   print_report(out, report);
   const std::string text = out.str();
-  EXPECT_NE(text.find("schema: cfgx.bench.serve.v1"), std::string::npos);
-  EXPECT_NE(text.find("explanations_per_second"), std::string::npos);
+  EXPECT_NE(text.find("schema: cfgx.bench.kernels.v2"), std::string::npos);
+  EXPECT_NE(text.find("cases.matmul@n64.speedup_mean"), std::string::npos);
+  EXPECT_NE(
+      text.find("cases.matmul@n128.workspace_after_loop.bytes_allocated_delta"),
+      std::string::npos);
   EXPECT_NE(text.find("PASS"), std::string::npos);
 }
 

@@ -1,12 +1,12 @@
 // bench_compare: gate a fresh bench JSON against a committed baseline.
 //
-//   bench_compare --baseline BENCH_serve.json --fresh /tmp/serve.json
-//                 --tolerance 4.0
+//   bench_compare --baseline BENCH_kernels.json --fresh BENCH_kernels_ci.json
+//                 --tolerance 2.0
 //
 // Exit codes: 0 all checks within tolerance, 1 at least one metric
 // regression, 2 structure failure (schema drift, missing case, ISA
-// mismatch) or unreadable input. CI runs this against both committed
-// baselines after regenerating the JSONs on the runner.
+// mismatch) or unreadable input. CI runs this against the committed
+// kernels baseline after regenerating the JSON on the runner.
 #include <fstream>
 #include <iostream>
 #include <sstream>

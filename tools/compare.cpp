@@ -63,67 +63,14 @@ class Comparer {
     return true;
   }
 
-  // Higher is better: regress when fresh < baseline / tolerance.
-  void check_throughput(const std::vector<std::string>& path) {
-    MetricCheck check;
-    check.name = join_path(path);
-    if (!read_pair(path, check.baseline, check.fresh)) return;
-    check.ratio = check.baseline > 0.0 ? check.fresh / check.baseline : 1.0;
-    if (check.baseline > 0.0 && check.fresh < check.baseline / tolerance_) {
-      check.status = CheckStatus::Regressed;
-      check.note = "throughput fell more than tolerance";
-    }
-    report_.checks.push_back(std::move(check));
-  }
-
-  // Lower is better: regress when fresh > baseline * tolerance.
-  void check_latency(const std::vector<std::string>& path) {
-    MetricCheck check;
-    check.name = join_path(path);
-    if (!read_pair(path, check.baseline, check.fresh)) return;
-    check.ratio = check.baseline > 0.0 ? check.fresh / check.baseline : 0.0;
-    if (check.baseline > 0.0 && check.fresh > check.baseline * tolerance_) {
-      check.status = CheckStatus::Regressed;
-      check.note = "latency grew more than tolerance";
-    }
-    report_.checks.push_back(std::move(check));
-  }
-
-  // Exact invariant: when the committed baseline holds `expected` (the
-  // "this must stay zero" class), the fresh run must as well.
-  void check_invariant(const std::vector<std::string>& path, double expected) {
-    MetricCheck check;
-    check.name = join_path(path);
-    if (!read_pair(path, check.baseline, check.fresh)) return;
-    if (check.baseline == expected && check.fresh != expected) {
-      check.status = CheckStatus::Regressed;
-      check.note = "exact invariant broken (noise cannot explain this)";
-    }
-    report_.checks.push_back(std::move(check));
-  }
-
   const JsonValue& baseline_;
   const JsonValue& fresh_;
   double tolerance_;
   CompareReport& report_;
 };
 
-void compare_serve_v1(Comparer& c) {
-  const JsonValue* fresh_ok = find_path(c.fresh_, {"totals", "ok"});
-  if (fresh_ok == nullptr || fresh_ok->number_value <= 0.0) {
-    c.structure_failure("totals.ok", "fresh run served no requests");
-    return;
-  }
-  c.check_throughput({"explanations_per_second"});
-  c.check_latency({"latency", "p50_s"});
-  c.check_latency({"latency", "p95_s"});
-  c.check_invariant({"totals", "explain_errors"}, 0.0);
-  c.check_invariant({"totals", "other"}, 0.0);
-  c.check_invariant({"workspace", "bytes_allocated_delta"}, 0.0);
-}
-
-// Cases are keyed by (name, n): the same kernel pair / sweep mode is
-// measured at several problem sizes and each is its own trajectory.
+// Cases are keyed by (name, n): the same kernel pair is measured at several
+// problem sizes and each is its own trajectory.
 std::string case_key(const JsonValue& v) {
   std::string key = v.at("name").string_value;
   if (v.has("n")) {
@@ -131,29 +78,6 @@ std::string case_key(const JsonValue& v) {
            std::to_string(static_cast<long long>(v.at("n").number_value));
   }
   return key;
-}
-
-// Requires matching `isa` fields (per-case numbers from different kernel
-// ISAs are not comparable) and matching `cases` arrays; returns the two
-// arrays on success, nullptrs after registering a structure failure.
-std::pair<const JsonValue*, const JsonValue*> matched_cases(Comparer& c) {
-  const JsonValue* base_isa = find_path(c.baseline_, {"isa"});
-  const JsonValue* fresh_isa = find_path(c.fresh_, {"isa"});
-  if (base_isa == nullptr || fresh_isa == nullptr ||
-      base_isa->string_value != fresh_isa->string_value) {
-    c.structure_failure(
-        "isa", "baseline and fresh run used different kernel ISAs — "
-               "per-case numbers are not comparable");
-    return {nullptr, nullptr};
-  }
-  const JsonValue* base_cases = find_path(c.baseline_, {"cases"});
-  const JsonValue* fresh_cases = find_path(c.fresh_, {"cases"});
-  if (base_cases == nullptr || !base_cases->is_array() ||
-      fresh_cases == nullptr || !fresh_cases->is_array()) {
-    c.structure_failure("cases", "missing cases array");
-    return {nullptr, nullptr};
-  }
-  return {base_cases, fresh_cases};
 }
 
 const JsonValue* find_case(Comparer& c, const JsonValue& fresh_cases,
@@ -170,8 +94,23 @@ const JsonValue* find_case(Comparer& c, const JsonValue& fresh_cases,
 }
 
 void compare_kernels_v2(Comparer& c) {
-  const auto [base_cases, fresh_cases] = matched_cases(c);
-  if (base_cases == nullptr) return;
+  // Per-case numbers from different kernel ISAs are not comparable.
+  const JsonValue* base_isa = find_path(c.baseline_, {"isa"});
+  const JsonValue* fresh_isa = find_path(c.fresh_, {"isa"});
+  if (base_isa == nullptr || fresh_isa == nullptr ||
+      base_isa->string_value != fresh_isa->string_value) {
+    c.structure_failure(
+        "isa", "baseline and fresh run used different kernel ISAs — "
+               "per-case numbers are not comparable");
+    return;
+  }
+  const JsonValue* base_cases = find_path(c.baseline_, {"cases"});
+  const JsonValue* fresh_cases = find_path(c.fresh_, {"cases"});
+  if (base_cases == nullptr || !base_cases->is_array() ||
+      fresh_cases == nullptr || !fresh_cases->is_array()) {
+    c.structure_failure("cases", "missing cases array");
+    return;
+  }
   for (const JsonValue& base_case : base_cases->items) {
     if (!base_case.is_object() || !base_case.has("name")) continue;
     const std::string name = case_key(base_case);
@@ -208,89 +147,6 @@ void compare_kernels_v2(Comparer& c) {
     } else {
       c.report_.checks.back().name = std::move(alloc.name);
     }
-  }
-}
-
-// Size-sweep trajectory (bench/scaling_sweep). Wall-clock per explanation
-// is banded per sweep point; the coarsener's reduction ratio and the
-// fidelity@20% of the projected rankings are pure functions of the seeded
-// graphs, so those are drift checks, not bands. The headline
-// reduced@largest-vs-full@smallest ratio carries a hard ceiling: the
-// paper-scale claim the baseline was committed under.
-void compare_scaling_v1(Comparer& c) {
-  const auto [base_cases, fresh_cases] = matched_cases(c);
-  if (base_cases == nullptr) return;
-  for (const JsonValue& base_case : base_cases->items) {
-    if (!base_case.is_object() || !base_case.has("name")) continue;
-    const std::string name = case_key(base_case);
-    const JsonValue* fresh_case = find_case(c, *fresh_cases, name);
-    if (fresh_case == nullptr) continue;
-    Comparer case_comparer(base_case, *fresh_case, c.tolerance_, c.report_);
-
-    MetricCheck latency;
-    latency.name = "cases." + name + ".per_explanation.mean_ms";
-    if (case_comparer.read_pair({"per_explanation", "mean_ms"},
-                                latency.baseline, latency.fresh)) {
-      latency.ratio =
-          latency.baseline > 0.0 ? latency.fresh / latency.baseline : 0.0;
-      if (latency.baseline > 0.0 &&
-          latency.fresh > latency.baseline * c.tolerance_) {
-        latency.status = CheckStatus::Regressed;
-        latency.note = "per-explanation latency grew more than tolerance";
-      }
-      c.report_.checks.push_back(std::move(latency));
-    } else {
-      c.report_.checks.back().name = std::move(latency.name);
-    }
-
-    MetricCheck ratio;
-    ratio.name = "cases." + name + ".reduction_ratio";
-    if (case_comparer.read_pair({"reduction_ratio"}, ratio.baseline,
-                                ratio.fresh)) {
-      if (ratio.fresh <= 0.0) {
-        ratio.status = CheckStatus::Regressed;
-        ratio.note = "reduction ratio must stay positive "
-                     "(coarsening may never empty a graph)";
-      } else if (ratio.fresh != ratio.baseline) {
-        ratio.status = CheckStatus::Regressed;
-        ratio.note = "deterministic coarsening drifted "
-                     "(same seeds must reduce identically)";
-      }
-      c.report_.checks.push_back(std::move(ratio));
-    } else {
-      c.report_.checks.back().name = std::move(ratio.name);
-    }
-
-    MetricCheck fidelity;
-    fidelity.name = "cases." + name + ".fidelity_at_20";
-    if (case_comparer.read_pair({"fidelity_at_20"}, fidelity.baseline,
-                                fidelity.fresh)) {
-      // Allow one graph's verdict to flip (libm differences can perturb
-      // near-tied predictions); more than that is a real quality change.
-      if (fidelity.fresh + 0.34 < fidelity.baseline) {
-        fidelity.status = CheckStatus::Regressed;
-        fidelity.note = "fidelity@20% fell beyond one-graph noise";
-      }
-      c.report_.checks.push_back(std::move(fidelity));
-    } else {
-      c.report_.checks.back().name = std::move(fidelity.name);
-    }
-  }
-
-  MetricCheck headline;
-  headline.name = "summary.reduced_largest_over_full_smallest";
-  if (c.read_pair({"summary", "reduced_largest_over_full_smallest"},
-                  headline.baseline, headline.fresh)) {
-    headline.ratio =
-        headline.baseline > 0.0 ? headline.fresh / headline.baseline : 0.0;
-    if (headline.fresh > 10.0 * c.tolerance_) {
-      headline.status = CheckStatus::Regressed;
-      headline.note = "paper-scale ceiling broken: reduced@largest must stay "
-                      "within 10x of full@smallest";
-    }
-    c.report_.checks.push_back(std::move(headline));
-  } else {
-    c.report_.checks.back().name = std::move(headline.name);
   }
 }
 
@@ -343,12 +199,8 @@ CompareReport compare_bench_json(const JsonValue& baseline,
     return report;
   }
   report.schema = base_schema;
-  if (base_schema == "cfgx.bench.serve.v1") {
-    compare_serve_v1(comparer);
-  } else if (base_schema == "cfgx.bench.kernels.v2") {
+  if (base_schema == "cfgx.bench.kernels.v2") {
     compare_kernels_v2(comparer);
-  } else if (base_schema == "cfgx.bench.scaling.v1") {
-    compare_scaling_v1(comparer);
   } else {
     comparer.structure_failure("schema", "unsupported schema " + base_schema);
   }

@@ -4,20 +4,17 @@
 // every metric as ok / regressed, with a hard "structure" failure class
 // for anything that makes the comparison meaningless (unknown or
 // mismatched schema, a baseline case missing from the fresh run, ISA
-// mismatch between kernels files). This is the CI gate that finally READS
-// the BENCH_*.json trajectory instead of merely uploading it.
+// mismatch between kernels files). This is the CI gate that READS the
+// committed BENCH_kernels.json instead of merely uploading it.
 //
-// Tolerance model: wall-clock metrics move with the machine, so every
-// check is a RATIO band, not an absolute one. A throughput-like metric
-// regresses when fresh < baseline / tolerance; a latency-like metric when
-// fresh > baseline * tolerance. Counter invariants (explain errors stay
-// zero, the zero-allocation steady state stays zero) are exact — noise
-// cannot explain those.
+// Tolerance model: per-case speedups (vectorized vs scalar, blocked vs
+// naive, measured on the same machine) are RATIO bands — a case regresses
+// when fresh < baseline / tolerance. The zero-allocation invariant after a
+// kernel loop is exact: noise cannot explain an allocation.
 //
-// Supported schemas:
-//   * cfgx.bench.serve.v1   (bench/serve_throughput)
-//   * cfgx.bench.kernels.v2 (bench/micro_kernels --kernels-baseline)
-//   * cfgx.bench.scaling.v1 (bench/scaling_sweep)
+// Supported schema: cfgx.bench.kernels.v2 (bench/micro_kernels
+// --kernels-baseline). Serving and graph-size performance is measured by
+// cfgbench (BENCHMARK.json), and their exact invariants are ctests.
 #pragma once
 
 #include <iosfwd>
