@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the numeric kernels that dominate
-// the experiment wall-clock: matrix products, adjacency normalization, GCN
-// layer forward/backward, full-model embedding, one Algorithm-2
+// the experiment wall-clock: matrix products, adjacency normalization, the
+// GCN backward, full-model embedding, one Algorithm-2
 // interpretation and corpus sample generation.
 //
 // Besides google-benchmark's own flags this binary accepts
@@ -80,15 +80,6 @@ Acfg cfg_graph(std::size_t n, Rng& rng) {
 // The normalized adjacency of cfg_graph(n, rng).
 CsrMatrix cfg_a_hat(std::size_t n, Rng& rng) {
   return MaskedNormalizedAdjacency(cfg_graph(n, rng)).a_hat();
-}
-
-// The normalized adjacency of an n-block fallthrough chain.
-CsrMatrix chain_a_hat(std::size_t n) {
-  Acfg chain(static_cast<std::uint32_t>(n));
-  for (std::uint32_t i = 0; i + 1 < n; ++i) {
-    chain.add_edge(i, i + 1, EdgeKind::Flow);
-  }
-  return MaskedNormalizedAdjacency(chain).a_hat();
 }
 
 ThreadPool& kernel_pool() {
@@ -196,32 +187,6 @@ void BM_AdjacencySpmmTransposeCsr(benchmark::State& state) {
 }
 BENCHMARK(BM_AdjacencySpmmTransposeCsr)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_GcnLayerForwardCsr(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  GcnLayer layer(12, 64, rng);
-  const CsrMatrix a_hat = chain_a_hat(n);
-  const Matrix h = random_matrix(n, 12, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(layer.infer(a_hat, h));
-  }
-}
-BENCHMARK(BM_GcnLayerForwardCsr)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_GcnLayerInferIntoCsr(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  GcnLayer layer(12, 64, rng);
-  const CsrMatrix a_hat = chain_a_hat(n);
-  const Matrix h = random_matrix(n, 12, rng);
-  Matrix out;
-  for (auto _ : state) {
-    layer.infer_into(a_hat, h, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_GcnLayerInferIntoCsr)->Arg(64)->Arg(128)->Arg(256);
-
 void BM_NormalizedAdjacency(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
@@ -232,17 +197,22 @@ void BM_NormalizedAdjacency(benchmark::State& state) {
 }
 BENCHMARK(BM_NormalizedAdjacency)->Arg(64)->Arg(128)->Arg(256);
 
+// One classifier backward (three GCN layers + readout) after a
+// forward_cached on an n-block CFG.
 void BM_GcnLayerBackward(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
-  GcnLayer layer(12, 64, rng);
-  const CsrMatrix a_hat = chain_a_hat(n);
-  const Matrix h = random_matrix(n, 12, rng);
-  const Matrix grad = random_matrix(n, 64, rng);
-  layer.forward(a_hat, h);
+  GnnClassifier gnn(GnnConfig{}, rng);
+  Acfg graph = cfg_graph(n, rng);
+  for (std::size_t i = 0; i < graph.features().size(); ++i) {
+    graph.features().data()[i] = rng.uniform(0.0, 4.0);
+  }
+  const MaskedNormalizedAdjacency frozen(graph);
+  const Matrix grad_logits = random_matrix(1, gnn.config().num_classes, rng);
+  gnn.forward_cached(frozen.a_hat(), frozen.inv_sqrt_degree(), graph.features());
   for (auto _ : state) {
-    layer.zero_grad();
-    benchmark::DoNotOptimize(layer.backward(grad));
+    gnn.zero_grad();
+    benchmark::DoNotOptimize(gnn.backward_cached(grad_logits));
   }
 }
 BENCHMARK(BM_GcnLayerBackward)->Arg(64)->Arg(128)->Arg(256);
@@ -404,9 +374,15 @@ int run_kernels_baseline(const std::string& out_path) {
     Rng adj_rng(11);
     const CsrMatrix a_hat = cfg_a_hat(n, adj_rng);
     const Matrix h = random_matrix(n, 64, adj_rng);
-    Rng layer_rng(3);
-    GcnLayer layer(64, 64, layer_rng);
+    Rng gnn_rng(3);
+    const GnnClassifier gnn(GnnConfig{}, gnn_rng);
+    Acfg graph = cfg_graph(n, gnn_rng);
+    for (std::size_t i = 0; i < graph.features().size(); ++i) {
+      graph.features().data()[i] = gnn_rng.uniform(0.0, 4.0);
+    }
+    const MaskedNormalizedAdjacency frozen(graph);
     Matrix out(n, 64);
+    Matrix embeddings;
 
     emit_case("matmul_naive_vs_blocked", n, iters,
               [&] {
@@ -430,11 +406,12 @@ int run_kernels_baseline(const std::string& out_path) {
                 spmm_into(a_hat, h, out);
                 benchmark::DoNotOptimize(out.data());
               });
-    emit_case("gcn_infer_alloc_vs_into", n, iters,
-              [&] { benchmark::DoNotOptimize(layer.infer(a_hat, h)); },
+    emit_case("gcn_embed_alloc_vs_into", n, iters,
+              [&] { benchmark::DoNotOptimize(gnn.embed(graph)); },
               [&] {
-                layer.infer_into(a_hat, h, out);
-                benchmark::DoNotOptimize(out.data());
+                gnn.embed_into(frozen.a_hat(), frozen.inv_sqrt_degree(),
+                               graph.features(), embeddings);
+                benchmark::DoNotOptimize(embeddings.data());
               });
 
     // --- scalar vs AVX2 (acceptance bar: >= 2x for matmul AND spmm at

@@ -7,7 +7,6 @@
 
 #include "graph/ops.hpp"
 #include "nn/workspace.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace cfgx {
@@ -61,11 +60,6 @@ Interpretation Interpreter::interpret(const Acfg& graph,
   removal_order.reserve(n_real);
   std::vector<std::uint32_t> victims;  // this iteration's, lowest score first
 
-  static obs::Counter& iterations_metric =
-      obs::MetricsRegistry::global().counter("alg2.iterations");
-  static obs::Histogram& renorm_seconds =
-      obs::MetricsRegistry::global().histogram("alg2.csr_renorm.seconds");
-
   // Embeddings/scores are workspace leases: repeated interpret() calls on
   // the same thread recycle the same buffers (workspace.bytes_allocated
   // stays flat after warm-up).
@@ -76,7 +70,6 @@ Interpretation Interpreter::interpret(const Acfg& graph,
   obs::TraceSpan interpret_span("alg2.interpret", "explain");
   const unsigned iterations = 100 / step;
   for (unsigned it = 0; it < iterations; ++it) {
-    iterations_metric.add();
     // graph_size runs 100, 100-step, ..., step (Algorithm 2 line 4).
     // Snapshot the current subgraph (line 5).
     result.subgraph_nodes.push_back(remaining);
@@ -114,10 +107,7 @@ Interpretation Interpreter::interpret(const Acfg& graph,
         features(victim, c) = 0.0;
       }
     }
-    {
-      obs::ScopedDurationTimer renorm_timer(renorm_seconds);
-      masked.refresh();
-    }
+    masked.refresh();
   }
 
   // Any survivors of rounding join the front of the importance order.

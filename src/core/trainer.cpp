@@ -7,7 +7,6 @@
 #include "graph/ops.hpp"
 #include "nn/loss.hpp"
 #include "nn/workspace.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
 
@@ -114,13 +113,6 @@ ExplainerTrainResult train_explainer(
 
   Adam optimizer(model.parameters(), config.adam);
 
-  static obs::Counter& epochs_metric =
-      obs::MetricsRegistry::global().counter("explainer.epochs");
-  static obs::Histogram& epoch_seconds =
-      obs::MetricsRegistry::global().histogram("explainer.epoch_seconds");
-  static obs::Gauge& last_loss =
-      obs::MetricsRegistry::global().gauge("explainer.last_epoch_loss");
-
   obs::TraceSpan train_span("explainer.train", "train");
   ExplainerTrainResult result;
   std::stringstream best_checkpoint;
@@ -128,7 +120,6 @@ ExplainerTrainResult train_explainer(
 
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
     obs::TraceSpan epoch_span("explainer.train.epoch", "train");
-    obs::ScopedDurationTimer epoch_timer(epoch_seconds);
     // Algorithm 1 line 3: random mini-batch D' of m samples.
     const std::size_t m = std::min(config.batch_size, fit_indices.size());
     const std::vector<std::size_t> batch =
@@ -160,8 +151,6 @@ ExplainerTrainResult train_explainer(
 
     const double epoch_loss = loss_sum / static_cast<double>(m);
     result.epoch_losses.push_back(epoch_loss);
-    epochs_metric.add();
-    last_loss.set(epoch_loss);
     if (config.on_epoch) config.on_epoch(epoch, epoch_loss);
     CFGX_LOG(Debug) << "explainer epoch " << epoch << " loss " << epoch_loss;
 

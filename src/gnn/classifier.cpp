@@ -84,7 +84,7 @@ Matrix GnnClassifier::readout_input(const Matrix& embeddings,
   if (config_.readout == ReadoutKind::MeanPool) {
     if (selection_out != nullptr) selection_out->clear();
     if (active == nullptr) return pool(embeddings, active_count);
-    // Cached path: sum active rows only (inactive rows carry the bias chain).
+    // Cached path: sum active rows only.
     Matrix pooled(1, embeddings.cols());
     for (std::size_t i = 0; i < embeddings.rows(); ++i) {
       if (!(*active)[i]) continue;
@@ -131,6 +131,13 @@ Matrix GnnClassifier::embed(const Acfg& graph) const {
 void GnnClassifier::embed_into(const CsrMatrix& a_hat,
                                const std::vector<double>& inv_sqrt,
                                const Matrix& raw_features, Matrix& out) const {
+  fused_embed(a_hat, inv_sqrt, raw_features, out, nullptr);
+}
+
+void GnnClassifier::fused_embed(const CsrMatrix& a_hat,
+                                const std::vector<double>& inv_sqrt,
+                                const Matrix& raw_features, Matrix& out,
+                                TrainingCache* cache) const {
   const std::size_t n = raw_features.rows();
   if (a_hat.rows() != n || a_hat.cols() != n || inv_sqrt.size() != n) {
     throw std::invalid_argument("GnnClassifier::embed_into: node count mismatch");
@@ -141,8 +148,8 @@ void GnnClassifier::embed_into(const CsrMatrix& a_hat,
   }
   // Only live rows (inv_sqrt != 0) are computed. A dead row reaches live
   // rows only through coefficients that are exactly 0.0, against H*W rows
-  // left at the lease's +0.0, so skipping it changes no live bit; its own
-  // embedding row keeps the reshape's +0.0. Pool workers reach the calling
+  // left at the zero-filled +0.0, so skipping it changes no live bit; its
+  // own rows keep the reshape's +0.0. Pool workers reach the calling
   // thread's list through `live` (a thread_local named inside the lambdas
   // would be each worker's own).
   thread_local std::vector<std::size_t> live_rows;
@@ -160,19 +167,28 @@ void GnnClassifier::embed_into(const CsrMatrix& a_hat,
 
   // Pass s builds each tile of live rows from the scaled features (s == 0)
   // or as layer s-1's aggregate (spmm row of its H*W, + b, clamp), then
-  // writes layer s's combine of the tile into layer s's H*W buffer; the
-  // last pass writes the tile itself into the embeddings.
+  // writes layer s's combine of the tile into layer s's H*W buffer (the
+  // cache's, or a workspace lease); the last pass writes the tile itself
+  // into the embeddings. With a cache, pass s < L also keeps its tile rows.
   Workspace& workspace = Workspace::local();
-  std::optional<Workspace::Lease> hw;
+  std::optional<Workspace::Lease> hw_lease;
+  const Matrix* hw = nullptr;  // layer s-1's H*W
   out.reshape(n, gcn_layers_.back().out_features());
   for (std::size_t s = 0; s <= gcn_layers_.size(); ++s) {
     const GcnLayer* aggregated = s > 0 ? &gcn_layers_[s - 1] : nullptr;
     const GcnLayer* combined = s < gcn_layers_.size() ? &gcn_layers_[s] : nullptr;
-    std::optional<Workspace::Lease> next_hw;
-    if (combined != nullptr) {
-      next_hw.emplace(workspace.acquire(n, combined->out_features()));
+    std::optional<Workspace::Lease> next_lease;
+    Matrix* dst = &out;
+    Matrix* kept = nullptr;
+    if (combined != nullptr && cache != nullptr) {
+      dst = &cache->hw[s];
+      dst->reshape(n, combined->out_features());
+      kept = &cache->h[s];
+      kept->reshape(n, combined->in_features());
+    } else if (combined != nullptr) {
+      next_lease.emplace(workspace.acquire(n, combined->out_features()));
+      dst = &next_lease->get();
     }
-    Matrix& dst = combined != nullptr ? next_hw->get() : out;
     const KernelCall call(aggregated != nullptr ? Kernel::Spmm
                                                 : Kernel::Matmul);
     const auto run_tile = [&](std::size_t first, std::size_t rows) {
@@ -183,23 +199,26 @@ void GnnClassifier::embed_into(const CsrMatrix& a_hat,
         const std::size_t i = live[first + r];
         double* row = h.data() + r * h.cols();
         if (aggregated != nullptr) {
-          detail::spmm_row_dispatch(a_hat, i, hw->get(), row);
+          detail::spmm_row_dispatch(a_hat, i, *hw, row);
           aggregated->finish_row(row);
         } else if (scaler_.fitted()) {
           scaler_.transform_row(raw_features.data() + i * h.cols(), row);
         } else {
           std::copy_n(raw_features.data() + i * h.cols(), h.cols(), row);
         }
+        if (kept != nullptr) {
+          std::copy_n(row, h.cols(), kept->data() + i * h.cols());
+        }
       }
       const Matrix* result = &h;
       if (combined != nullptr) {
-        Matrix& product = tile_buffer(1, rows, dst.cols());
+        Matrix& product = tile_buffer(1, rows, dst->cols());
         combined->combine_rows(h, product, rows);
         result = &product;
       }
       for (std::size_t r = 0; r < rows; ++r) {
-        std::copy_n(result->data() + r * dst.cols(), dst.cols(),
-                    dst.data() + live[first + r] * dst.cols());
+        std::copy_n(result->data() + r * dst->cols(), dst->cols(),
+                    dst->data() + live[first + r] * dst->cols());
       }
     };
     parallel_ranges(kernel_pool_, tiles, [&](std::size_t begin, std::size_t end) {
@@ -207,7 +226,11 @@ void GnnClassifier::embed_into(const CsrMatrix& a_hat,
         run_tile(t * tile, std::min(tile, live.size() - t * tile));
       }
     });
-    if (next_hw) hw = std::move(next_hw);
+    if (next_lease) {
+      hw_lease = std::move(next_lease);
+      dst = &hw_lease->get();
+    }
+    hw = dst;
   }
 }
 
@@ -261,26 +284,25 @@ Matrix GnnClassifier::forward_cached(const CsrMatrix& a_hat,
   }
   cached_a_hat_ = a_hat;
   cached_inv_sqrt_ = inv_sqrt;
-  cached_num_nodes_ = n;
-  cached_active_.assign(cached_num_nodes_, 0);
+  cached_num_nodes_ = 0;  // set once the pass has filled the cache
+  cached_active_.assign(n, 0);
   cached_active_count_ = 0;
-  for (std::size_t i = 0; i < cached_num_nodes_; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (inv_sqrt[i] > 0.0) {
       cached_active_[i] = 1;
       ++cached_active_count_;
     }
   }
 
-  Matrix h = scaler_.fitted() ? scaler_.transform(raw_features) : raw_features;
-  for (GcnLayer& layer : gcn_layers_) {
-    h = layer.forward(cached_a_hat_, h, kernel_pool_);
-  }
-  cached_embeddings_ = h;
+  cache_.h.resize(gcn_layers_.size() + 1);
+  cache_.hw.resize(gcn_layers_.size());
+  fused_embed(cached_a_hat_, cached_inv_sqrt_, raw_features, cache_.h.back(),
+              &cache_);
+  cached_num_nodes_ = n;
 
-  // Readout over the active rows only (inactive rows hold the propagated
-  // bias constant and must not leak into the readout).
-  const Matrix pooled = readout_input(h, cached_active_count_, &cached_active_,
-                                      &cached_selection_);
+  // Readout over the active rows only.
+  const Matrix pooled = readout_input(cache_.h.back(), cached_active_count_,
+                                      &cached_active_, &cached_selection_);
   return readout_->forward(pooled);
 }
 
@@ -316,8 +338,10 @@ GnnClassifier::BackwardResult GnnClassifier::backward_cached(
 
   std::vector<double> grad_a_hat;
   if (want_adjacency_grad) grad_a_hat.assign(cached_a_hat_.nnz(), 0.0);
-  for (auto it = gcn_layers_.rbegin(); it != gcn_layers_.rend(); ++it) {
-    grad_h = it->backward(grad_h, want_adjacency_grad ? &grad_a_hat : nullptr);
+  for (std::size_t s = gcn_layers_.size(); s-- > 0;) {
+    grad_h = gcn_layers_[s].backward(
+        grad_h, cached_a_hat_, cache_.h[s], cache_.hw[s], cache_.h[s + 1],
+        kernel_pool_, want_adjacency_grad ? &grad_a_hat : nullptr);
   }
 
   BackwardResult result;

@@ -108,8 +108,11 @@ class GnnClassifier {
 
   // Forward with caches over the same (a_hat, inv_sqrt, raw_features)
   // triple as embed_into — a MaskedNormalizedAdjacency's a_hat() and
-  // inv_sqrt_degree(). A_hat is copied, so it may change after the call.
-  // Returns logits [1, num_classes].
+  // inv_sqrt_degree() — on the same fused pass, which also keeps each
+  // layer's input and H*W rows for backward_cached. A_hat is copied, so it
+  // may change after the call. Const inference calls may run between this
+  // and backward_cached without changing the gradients. Returns logits
+  // [1, num_classes].
   Matrix forward_cached(const CsrMatrix& a_hat,
                         const std::vector<double>& inv_sqrt,
                         const Matrix& raw_features);
@@ -149,6 +152,20 @@ class GnnClassifier {
  private:
   GnnClassifier() = default;  // for load()/clone()
 
+  // What backward_cached reads of the last forward_cached: per GCN layer s
+  // its input rows h[s] (the scaled features for s = 0) and its product
+  // hw[s] = h[s] * W_s; h[L] is the embeddings. Dead rows hold +0.0.
+  struct TrainingCache {
+    std::vector<Matrix> h;
+    std::vector<Matrix> hw;
+  };
+
+  // The body of embed_into (same contract). With a cache, its h[0..L-1]
+  // and hw[0..L-1] are filled too, and `out` must be cache->h[L].
+  void fused_embed(const CsrMatrix& a_hat, const std::vector<double>& inv_sqrt,
+                   const Matrix& raw_features, Matrix& out,
+                   TrainingCache* cache) const;
+
   Matrix pool(const Matrix& embeddings, std::size_t active_count) const;
   // SortPool selection: active node indices ordered by descending embedding
   // row sum (ties by index), truncated to sortpool_k.
@@ -168,7 +185,7 @@ class GnnClassifier {
   // Training caches. Every backward kernel that consumes A_hat is sparse.
   CsrMatrix cached_a_hat_;
   std::vector<double> cached_inv_sqrt_;  // d^{-1/2}, for the dA chain
-  Matrix cached_embeddings_;
+  TrainingCache cache_;
   std::vector<std::size_t> cached_selection_;  // SortPool permutation
   std::vector<char> cached_active_;
   std::size_t cached_active_count_ = 0;

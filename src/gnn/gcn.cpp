@@ -9,12 +9,6 @@
 namespace cfgx {
 namespace {
 
-void add_bias_rows_inplace(Matrix& m, const Matrix& bias) {
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = 0; c < m.cols(); ++c) m(r, c) += bias(0, c);
-  }
-}
-
 // The GCN clamp x < 0 -> +0.0. It clamps strictly negative values only and
 // keeps -0.0 and NaN as-is, unlike std::max(0.0, x); the layer tests and
 // the fused oracle pin this. Written as a bit mask: the signs of GCN
@@ -25,40 +19,12 @@ double clamp_negative(double x) {
   return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) & ~negative);
 }
 
-void relu_inplace(Matrix& m) {
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    m.data()[i] = clamp_negative(m.data()[i]);
-  }
-}
-
-Matrix relu(Matrix m) {
-  relu_inplace(m);
-  return m;
-}
-
 }  // namespace
 
 GcnLayer::GcnLayer(std::size_t in_features, std::size_t out_features, Rng& rng,
                    std::string name)
     : weight_(name + ".W", glorot_uniform(in_features, out_features, rng)),
       bias_(name + ".b", Matrix(1, out_features)) {}
-
-Matrix GcnLayer::infer(const CsrMatrix& a_hat, const Matrix& h,
-                       ThreadPool* pool) const {
-  Matrix out;
-  infer_into(a_hat, h, out, pool);
-  return out;
-}
-
-void GcnLayer::infer_into(const CsrMatrix& a_hat, const Matrix& h, Matrix& out,
-                          ThreadPool* pool) const {
-  Workspace::Lease hw = Workspace::local().acquire(h.rows(), out_features());
-  matmul_into(h, weight_.value, hw.get());
-  spmm_into(a_hat, hw.get(), out, pool);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    finish_row(out.data() + r * out.cols());
-  }
-}
 
 void GcnLayer::combine_rows(const Matrix& h, Matrix& out,
                             std::size_t rows) const {
@@ -73,23 +39,13 @@ void GcnLayer::finish_row(double* row) const {
   }
 }
 
-Matrix GcnLayer::forward(const CsrMatrix& a_hat, const Matrix& h,
-                         ThreadPool* pool) {
-  cached_a_csr_ = a_hat;
-  cached_pool_ = pool;
-  cached_h_ = h;
-  matmul_into(h, weight_.value, cached_hw_);
-  spmm_into(cached_a_csr_, cached_hw_, cached_preactivation_, pool);
-  add_bias_rows_inplace(cached_preactivation_, bias_.value);
-  return relu(cached_preactivation_);
-}
-
-Matrix GcnLayer::backward(const Matrix& grad_output,
-                          std::vector<double>* grad_a_hat) {
-  // dP = dZ .* 1[P > 0]
+Matrix GcnLayer::backward(const Matrix& grad_output, const CsrMatrix& a_hat,
+                          const Matrix& h, const Matrix& hw, const Matrix& out,
+                          ThreadPool* pool, std::vector<double>* grad_a_hat) {
+  // dP = dZ .* 1[P > 0] = dZ .* 1[Z > 0]
   Matrix grad_pre = grad_output;
   for (std::size_t i = 0; i < grad_pre.size(); ++i) {
-    if (cached_preactivation_.data()[i] <= 0.0) grad_pre.data()[i] = 0.0;
+    if (out.data()[i] <= 0.0) grad_pre.data()[i] = 0.0;
   }
 
   bias_.grad += grad_pre.col_sums();
@@ -100,13 +56,12 @@ Matrix GcnLayer::backward(const Matrix& grad_output,
   // accumulation are computed into workspace scratch first.
   Workspace& workspace = Workspace::local();
   Workspace::Lease grad_hw = workspace.acquire(0, 0);
-  spmm_transpose_a_into(cached_a_csr_, grad_pre, grad_hw.get(), cached_pool_);
+  spmm_transpose_a_into(a_hat, grad_pre, grad_hw.get(), pool);
   Workspace::Lease scratch = workspace.acquire(0, 0);
-  matmul_transpose_a_into(cached_h_, grad_hw.get(), scratch.get());
+  matmul_transpose_a_into(h, grad_hw.get(), scratch.get());
   weight_.grad += scratch.get();
   if (grad_a_hat != nullptr) {
-    sddmm_accumulate(cached_a_csr_, grad_pre, cached_hw_, *grad_a_hat,
-                     cached_pool_);
+    sddmm_accumulate(a_hat, grad_pre, hw, *grad_a_hat, pool);
   }
   return matmul_transpose_b(grad_hw.get(), weight_.value);
 }

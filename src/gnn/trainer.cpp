@@ -4,7 +4,6 @@
 
 #include "graph/ops.hpp"
 #include "nn/loss.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
 
@@ -40,18 +39,10 @@ GnnTrainResult train_gnn(GnnClassifier& model, const Corpus& corpus,
   std::vector<std::size_t> order(train_indices.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
-  static obs::Counter& epochs_metric =
-      obs::MetricsRegistry::global().counter("gnn.epochs");
-  static obs::Histogram& epoch_seconds =
-      obs::MetricsRegistry::global().histogram("gnn.epoch_seconds");
-  static obs::Gauge& last_loss =
-      obs::MetricsRegistry::global().gauge("gnn.last_epoch_loss");
-
   obs::TraceSpan train_span("gnn.train", "train");
   GnnTrainResult result;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
     obs::TraceSpan epoch_span("gnn.train.epoch", "train");
-    obs::ScopedDurationTimer epoch_timer(epoch_seconds);
     shuffle_rng.shuffle(order);
     double epoch_loss = 0.0;
     std::size_t batches = 0;
@@ -80,8 +71,6 @@ GnnTrainResult train_gnn(GnnClassifier& model, const Corpus& corpus,
 
     epoch_loss /= static_cast<double>(batches);
     result.epoch_losses.push_back(epoch_loss);
-    epochs_metric.add();
-    last_loss.set(epoch_loss);
     if (config.on_epoch) config.on_epoch(epoch, epoch_loss);
     CFGX_LOG(Debug) << "gnn epoch " << epoch << " loss " << epoch_loss;
   }

@@ -275,17 +275,16 @@ GraphBatch batch_normalized_graphs(const std::vector<const Acfg*>& graphs) {
     total_nodes += graphs[k]->num_nodes();
   }
 
-  std::vector<CsrMatrix> per_graph;
-  per_graph.reserve(graphs.size());
+  std::vector<MaskedNormalizedAdjacency> frozen;
+  frozen.reserve(graphs.size());
   batch.features = Matrix(total_nodes, feature_count);
   batch.inv_sqrt_degree.reserve(total_nodes);
   batch.active_counts.reserve(graphs.size());
 
   std::size_t row_base = 0;
   for (const Acfg* graph : graphs) {
-    const MaskedNormalizedAdjacency frozen(*graph);
-    per_graph.push_back(frozen.a_hat());
-    const std::vector<double>& inv_sqrt = frozen.inv_sqrt_degree();
+    const std::vector<double>& inv_sqrt =
+        frozen.emplace_back(*graph).inv_sqrt_degree();
 
     // inv_sqrt is non-zero exactly for active nodes, so its non-zero count
     // IS count_active_nodes(*graph).
@@ -307,8 +306,8 @@ GraphBatch batch_normalized_graphs(const std::vector<const Acfg*>& graphs) {
   }
 
   std::vector<const CsrMatrix*> ptrs;
-  ptrs.reserve(per_graph.size());
-  for (const CsrMatrix& csr : per_graph) ptrs.push_back(&csr);
+  ptrs.reserve(frozen.size());
+  for (const MaskedNormalizedAdjacency& f : frozen) ptrs.push_back(&f.a_hat());
   batch.a_hat = BatchedCsr::concat(ptrs);
   return batch;
 }

@@ -1,5 +1,6 @@
 #include "graph/serialize.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -91,6 +92,14 @@ Acfg read_acfg(std::istream& in) try {
   Matrix features = read_matrix(in);
   if (features.rows() != num_nodes) {
     throw SerializationError("feature matrix row count != node count");
+  }
+  if (features.cols() != kAcfgFeatureCount) {
+    throw SerializationError("feature matrix width != ACFG feature count");
+  }
+  for (std::size_t i = 0; i < features.size(); ++i) {
+    if (!std::isfinite(features.data()[i])) {
+      throw SerializationError("non-finite feature value in graph");
+    }
   }
   graph.features() = std::move(features);
 

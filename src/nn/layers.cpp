@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-
 namespace cfgx {
 Matrix glorot_uniform(std::size_t fan_in, std::size_t fan_out, Rng& rng) {
   const double limit = std::sqrt(6.0 / static_cast<double>(fan_in + fan_out));
@@ -22,15 +21,11 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng,
 Matrix Dense::forward(const Matrix& input) {
   cached_input_ = input;  // copy-assign reuses the cache's capacity
   Matrix out;
-  forward_into(input, out);
-  return out;
-}
-
-void Dense::forward_into(const Matrix& input, Matrix& out) const {
   matmul_into(input, weight_.value, out);
   for (std::size_t r = 0; r < out.rows(); ++r) {
     for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) += bias_.value(0, c);
   }
+  return out;
 }
 
 Matrix Dense::backward(const Matrix& grad_output) {
@@ -42,14 +37,9 @@ Matrix Dense::backward(const Matrix& grad_output) {
 
 Matrix Relu::forward(const Matrix& input) {
   cached_input_ = input;
-  Matrix out;
-  forward_into(input, out);
-  return out;
-}
-
-void Relu::forward_into(const Matrix& input, Matrix& out) const {
-  out = input;
+  Matrix out = input;
   out.apply(relu_value);
+  return out;
 }
 
 Matrix Relu::backward(const Matrix& grad_output) {
@@ -61,15 +51,10 @@ Matrix Relu::backward(const Matrix& grad_output) {
 }
 
 Matrix Sigmoid::forward(const Matrix& input) {
-  Matrix out;
-  forward_into(input, out);
+  Matrix out = input;
+  out.apply(sigmoid_value);
   cached_output_ = out;
   return out;
-}
-
-void Sigmoid::forward_into(const Matrix& input, Matrix& out) const {
-  out = input;
-  out.apply(sigmoid_value);
 }
 
 Matrix Sigmoid::backward(const Matrix& grad_output) {
@@ -82,14 +67,7 @@ Matrix Sigmoid::backward(const Matrix& grad_output) {
 }
 
 Matrix SoftmaxRows::forward(const Matrix& input) {
-  Matrix out;
-  forward_into(input, out);
-  cached_output_ = out;
-  return out;
-}
-
-void SoftmaxRows::forward_into(const Matrix& input, Matrix& out) const {
-  out = input;
+  Matrix out = input;
   for (std::size_t r = 0; r < out.rows(); ++r) {
     auto row = out.row(r);
     const double m = *std::max_element(row.begin(), row.end());
@@ -100,6 +78,8 @@ void SoftmaxRows::forward_into(const Matrix& input, Matrix& out) const {
     }
     for (double& v : row) v /= denom;
   }
+  cached_output_ = out;
+  return out;
 }
 
 Matrix SoftmaxRows::backward(const Matrix& grad_output) {

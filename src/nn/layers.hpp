@@ -4,12 +4,9 @@
 // caches whatever backward() needs; backward() consumes dLoss/dOutput and
 // returns dLoss/dInput, accumulating dLoss/dParameter into Parameter::grad.
 // Gradients are *accumulated* (+=) so shared modules can be driven several
-// times per step; call zero_grad() between optimizer steps. Each leaf
-// module's forward_into() is its inference pass: const and cache-free, so
-// one module may serve concurrent inference calls and may run between a
-// forward() and its backward() without disturbing the gradients. (Theta_s
-// inference runs the Dense layers a tile at a time instead; see
-// ExplainerModel::score_nodes_into.)
+// times per step; call zero_grad() between optimizer steps. Inference does
+// not run through modules: Theta_s runs the Dense layers a tile at a time
+// (ExplainerModel::score_nodes_into), reading their parameters only.
 //
 // The exact gradients here are verified against central finite differences
 // in tests/nn/gradcheck_test.cpp.
@@ -64,9 +61,6 @@ class Dense : public Module {
         std::string name = "dense");
 
   Matrix forward(const Matrix& input) override;
-  // Cache-free inference: reshapes `out` (capacity-reusing) and
-  // overwrites it; `out` must not alias `input`. forward() runs it.
-  void forward_into(const Matrix& input, Matrix& out) const;
   Matrix backward(const Matrix& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
 
@@ -103,7 +97,6 @@ inline double sigmoid_value(double x) {
 class Relu : public Module {
  public:
   Matrix forward(const Matrix& input) override;
-  void forward_into(const Matrix& input, Matrix& out) const;
   Matrix backward(const Matrix& grad_output) override;
 
  private:
@@ -114,7 +107,6 @@ class Relu : public Module {
 class Sigmoid : public Module {
  public:
   Matrix forward(const Matrix& input) override;
-  void forward_into(const Matrix& input, Matrix& out) const;
   Matrix backward(const Matrix& grad_output) override;
 
  private:
@@ -126,7 +118,6 @@ class Sigmoid : public Module {
 class SoftmaxRows : public Module {
  public:
   Matrix forward(const Matrix& input) override;
-  void forward_into(const Matrix& input, Matrix& out) const;
   Matrix backward(const Matrix& grad_output) override;
 
  private:

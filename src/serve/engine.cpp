@@ -22,18 +22,6 @@
 namespace cfgx::serve {
 namespace {
 
-obs::Histogram& latency_histogram() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::global().histogram("serve.request_latency_seconds");
-  return h;
-}
-
-obs::Gauge& queue_depth_gauge() {
-  static obs::Gauge& g =
-      obs::MetricsRegistry::global().gauge("serve.queue_depth");
-  return g;
-}
-
 obs::Gauge& inflight_gauge() {
   static obs::Gauge& g = obs::MetricsRegistry::global().gauge("serve.inflight");
   return g;
@@ -174,7 +162,6 @@ std::future<ExplanationResponse> ExplanationEngine::submit(
       return future;
     }
     queue_.push_back(std::move(request));
-    queue_depth_gauge().set(static_cast<double>(queue_.size()));
   }
   cv_.notify_one();
   return future;
@@ -281,7 +268,6 @@ void ExplanationEngine::finish(Request& request, ExplanationResponse response) {
   const Clock::time_point now = Clock::now();
   const double latency =
       std::chrono::duration<double>(now - request.enqueued).count();
-  latency_histogram().record(latency);
   inflight_gauge().add(-1.0);
   update_uptime_gauge();
   slo_.record(response.status == ResponseStatus::Ok, latency);
@@ -336,7 +322,6 @@ void ExplanationEngine::dispatcher_loop() {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
-      queue_depth_gauge().set(static_cast<double>(queue_.size()));
     }
     serve_batch(batch);
   }
@@ -346,7 +331,6 @@ void ExplanationEngine::dispatcher_loop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     leftover.swap(queue_);
-    queue_depth_gauge().set(0.0);
   }
   for (Request& request : leftover) {
     finish(request, status_response(ResponseStatus::EngineStopped));
@@ -387,19 +371,16 @@ void ExplanationEngine::serve_batch(std::vector<Request>& batch) {
   if (live.empty()) return;
 
   // --- prepare: (optionally coarsen,) normalize + freeze each graph's
-  // CSR, lease scratch. In reduce-then-explain mode everything downstream
-  // (forward pass, explainers) sees the coarse graphs; `reductions` keeps
-  // the projections for the final ranking expansion.
+  // CSR and stack the batch (batch_normalized_graphs). In
+  // reduce-then-explain mode everything downstream (forward pass,
+  // explainers) sees the coarse graphs; `reductions` keeps the projections
+  // for the final ranking expansion.
   Workspace& workspace = Workspace::local();
   std::vector<ReducedGraph> reductions;  // parallel to `live` when reducing
-  std::vector<MaskedNormalizedAdjacency> frozen;
-  std::vector<std::size_t> active_counts;
-  std::vector<const CsrMatrix*> blocks;
-  std::size_t total_nodes = 0;
   const auto graph_for = [&](std::size_t k) -> const Acfg& {
     return config_.reduction ? reductions[k].graph : batch[live[k]].graph;
   };
-  Workspace::Lease features = [&] {
+  const GraphBatch prepared = [&] {
     obs::ScopedDurationTimer timer(prepare_h);
     if (config_.reduction) {
       reductions.reserve(live.size());
@@ -407,43 +388,12 @@ void ExplanationEngine::serve_batch(std::vector<Request>& batch) {
         reductions.push_back(reduce_graph(batch[i].graph, *config_.reduction));
       }
     }
-    frozen.reserve(live.size());
-    active_counts.reserve(live.size());
-    blocks.reserve(live.size());
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      const Acfg& graph = graph_for(k);
-      // Edge-list construction, bit-identical to the dense oracle (ops.hpp).
-      frozen.emplace_back(graph);
-      std::size_t active = 0;
-      for (double v : frozen.back().inv_sqrt_degree()) {
-        if (v != 0.0) ++active;
-      }
-      active_counts.push_back(active);
-      blocks.push_back(&frozen.back().a_hat());
-      total_nodes += graph.num_nodes();
-    }
-    Workspace::Lease stacked =
-        workspace.acquire(total_nodes, gnn_->config().feature_dim);
-    std::size_t row_base = 0;
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      const Matrix& graph_features = graph_for(k).features();
-      for (std::size_t r = 0; r < graph_features.rows(); ++r) {
-        for (std::size_t c = 0; c < graph_features.cols(); ++c) {
-          stacked.get()(row_base + r, c) = graph_features(r, c);
-        }
-      }
-      row_base += graph_features.rows();
-    }
-    return stacked;
+    std::vector<const Acfg*> graphs;
+    graphs.reserve(live.size());
+    for (std::size_t k = 0; k < live.size(); ++k) graphs.push_back(&graph_for(k));
+    return batch_normalized_graphs(graphs);
   }();
-
-  const BatchedCsr batched = BatchedCsr::concat(blocks);
-  std::vector<double> inv_sqrt;
-  inv_sqrt.reserve(total_nodes);
-  for (const MaskedNormalizedAdjacency& f : frozen) {
-    inv_sqrt.insert(inv_sqrt.end(), f.inv_sqrt_degree().begin(),
-                    f.inv_sqrt_degree().end());
-  }
+  const std::size_t total_nodes = prepared.features.rows();
 
   // --- execute: ONE forward pass for the whole batch ---
   std::vector<Prediction> predictions(live.size());
@@ -451,10 +401,10 @@ void ExplanationEngine::serve_batch(std::vector<Request>& batch) {
     obs::ScopedDurationTimer timer(execute_h);
     Workspace::Lease embeddings =
         workspace.acquire(total_nodes, gnn_->config().embedding_dim());
-    gnn_->embed_into(batched.matrix(), inv_sqrt, features.get(),
-                     embeddings.get());
+    gnn_->embed_into(prepared.a_hat.matrix(), prepared.inv_sqrt_degree,
+                     prepared.features, embeddings.get());
     for (std::size_t k = 0; k < live.size(); ++k) {
-      const BatchedCsr::Range& range = batched.range(k);
+      const BatchedCsr::Range& range = prepared.range(k);
       Workspace::Lease slice =
           workspace.acquire(range.size(), gnn_->config().embedding_dim());
       for (std::size_t r = 0; r < range.size(); ++r) {
@@ -463,7 +413,7 @@ void ExplanationEngine::serve_batch(std::vector<Request>& batch) {
         }
       }
       predictions[k].probabilities =
-          softmax_rows(gnn_->class_logits(slice.get(), active_counts[k]));
+          softmax_rows(gnn_->class_logits(slice.get(), prepared.active_counts[k]));
       predictions[k].predicted_class =
           argmax_rows(predictions[k].probabilities)[0];
     }

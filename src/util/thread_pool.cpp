@@ -18,14 +18,12 @@ double now_seconds() {
 
 struct PoolMetrics {
   obs::Counter& tasks_submitted;
-  obs::Gauge& queue_depth;
   obs::Histogram& task_wait_seconds;
   obs::Histogram& task_run_seconds;
 
   static PoolMetrics& get() {
     static PoolMetrics metrics{
         obs::MetricsRegistry::global().counter("pool.tasks_submitted"),
-        obs::MetricsRegistry::global().gauge("pool.queue_depth"),
         obs::MetricsRegistry::global().histogram("pool.task_wait_seconds"),
         obs::MetricsRegistry::global().histogram("pool.task_run_seconds")};
     return metrics;
@@ -82,21 +80,15 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   std::future<void> future = queued.done.get_future();
   const bool instrumented = obs::metrics_enabled();
   if (instrumented) queued.enqueued_seconds = now_seconds();
-  std::size_t depth = 0;
   {
     std::lock_guard lock(mutex_);
     if (stopping_) {
       throw std::logic_error("ThreadPool::submit after shutdown began");
     }
     queue_.push(std::move(queued));
-    depth = queue_.size();
   }
   cv_.notify_one();
-  if (instrumented) {
-    auto& metrics = PoolMetrics::get();
-    metrics.tasks_submitted.add();
-    metrics.queue_depth.set(static_cast<double>(depth));
-  }
+  if (instrumented) PoolMetrics::get().tasks_submitted.add();
   return future;
 }
 
@@ -145,13 +137,11 @@ void ThreadPool::worker_loop() {
     if (queue_.empty()) return;  // stopping_ and drained
     QueuedTask queued = std::move(queue_.front());
     queue_.pop();
-    const std::size_t depth = queue_.size();
     lock.unlock();
     const bool instrumented = obs::metrics_enabled();
     double start = 0.0;
     if (instrumented) {
       auto& metrics = PoolMetrics::get();
-      metrics.queue_depth.set(static_cast<double>(depth));
       start = now_seconds();
       if (queued.enqueued_seconds > 0.0) {
         metrics.task_wait_seconds.record(start - queued.enqueued_seconds);

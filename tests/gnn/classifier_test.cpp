@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "graph/ops.hpp"
@@ -82,7 +83,7 @@ TEST(GnnClassifierTest, KernelPoolDoesNotChangeResults) {
 
 TEST(GnnClassifierTest, EmbedMatchesDenseLayerReference) {
   // The classifier's CSR-backed embed must reproduce a hand-rolled dense
-  // pipeline (normalized_adjacency + dense GcnLayer::infer) to 1e-12: the
+  // pipeline (normalized_adjacency + dense_infer per layer) to 1e-12: the
   // sparse hot path is a pure representation change.
   Rng rng(32);
   GnnClassifier model(tiny_config(), rng);
@@ -182,6 +183,66 @@ TEST(GnnClassifierTest, BackwardBeforeForwardThrows) {
   Rng rng(9);
   GnnClassifier model(tiny_config(), rng);
   EXPECT_THROW(model.backward_cached(Matrix(1, 4)), std::logic_error);
+}
+
+bool same_bits(const double* a, const double* b, std::size_t count) {
+  return count == 0 || std::memcmp(a, b, count * sizeof(double)) == 0;
+}
+
+// forward_cached and embed_into share one fused pass (and its thread-local
+// row list and tile buffers), so an inference call on another graph between
+// forward_cached and backward_cached must leave every gradient bit as an
+// uninterrupted step computes it.
+TEST(GnnClassifierTest, InferenceBetweenForwardAndBackwardLeavesGradientsUnchanged) {
+  Rng rng(13);
+  GnnClassifier model(tiny_config(), rng);
+  const Acfg graph = tiny_graph(rng);
+  Acfg other(70);
+  for (std::uint32_t i = 0; i + 1 < 70; ++i) other.add_edge(i, i + 1, EdgeKind::Flow);
+  for (std::size_t i = 0; i < other.features().size(); ++i) {
+    other.features().data()[i] = rng.uniform(0.0, 5.0);
+  }
+  const MaskedNormalizedAdjacency frozen(graph);
+  const MaskedNormalizedAdjacency frozen_other(other);
+
+  struct Step {
+    std::vector<Matrix> grads;
+    GnnClassifier::BackwardResult result;
+  };
+  const auto step = [&](bool interrupt) {
+    model.zero_grad();
+    const Matrix logits = model.forward_cached(
+        frozen.a_hat(), frozen.inv_sqrt_degree(), graph.features());
+    if (interrupt) {
+      Matrix embeddings;
+      model.embed_into(frozen_other.a_hat(), frozen_other.inv_sqrt_degree(),
+                       other.features(), embeddings);
+      model.predict(other);
+    }
+    const LossResult loss = softmax_cross_entropy(logits, {1});
+    Step out;
+    out.result = model.backward_cached(loss.grad, true);
+    for (Parameter* p : model.parameters()) out.grads.push_back(p->grad);
+    return out;
+  };
+  const Step plain = step(false);
+  const Step interrupted = step(true);
+  ASSERT_EQ(plain.grads.size(), interrupted.grads.size());
+  for (std::size_t p = 0; p < plain.grads.size(); ++p) {
+    ASSERT_TRUE(plain.grads[p].same_shape(interrupted.grads[p]));
+    EXPECT_TRUE(same_bits(plain.grads[p].data(), interrupted.grads[p].data(),
+                          plain.grads[p].size()));
+  }
+  ASSERT_EQ(plain.result.grad_adjacency.size(),
+            interrupted.result.grad_adjacency.size());
+  EXPECT_TRUE(same_bits(plain.result.grad_adjacency.data(),
+                        interrupted.result.grad_adjacency.data(),
+                        plain.result.grad_adjacency.size()));
+  const Matrix& features = plain.result.grad_scaled_features;
+  ASSERT_TRUE(features.same_shape(interrupted.result.grad_scaled_features));
+  EXPECT_TRUE(same_bits(features.data(),
+                        interrupted.result.grad_scaled_features.data(),
+                        features.size()));
 }
 
 TEST(GnnClassifierTest, ParameterGradientsMatchNumeric) {

@@ -9,6 +9,7 @@
 #include "nn/gradcheck.hpp"
 #include "nn/sparse.hpp"
 #include "support/dense_oracle.hpp"
+#include "support/gcn_reference.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cfgx {
@@ -40,30 +41,48 @@ double scalarize(const Matrix& out, const Matrix& w) {
   return acc;
 }
 
-TEST(GcnLayerTest, InferMatchesForward) {
-  Rng rng(1);
-  GcnLayer layer(4, 3, rng);
-  const CsrMatrix a_hat = CsrMatrix::from_dense(random_a_hat(5, rng));
-  const Matrix h = random_matrix(5, 4, rng);
-  EXPECT_TRUE(approx_equal(layer.infer(a_hat, h), layer.forward(a_hat, h), 1e-12));
+// The layer's forward as a GnnClassifier pass runs it, on every row:
+// combine_rows, then each row's spmm aggregate and finish_row.
+Matrix layer_forward(const GcnLayer& layer, const CsrMatrix& a_hat,
+                     const Matrix& h) {
+  Matrix hw(h.rows(), layer.out_features());
+  layer.combine_rows(h, hw, h.rows());
+  Matrix out(h.rows(), layer.out_features());
+  for (std::size_t i = 0; i < out.rows(); ++i) {
+    double* row = out.data() + i * out.cols();
+    detail::spmm_row_dispatch(a_hat, i, hw, row);
+    layer.finish_row(row);
+  }
+  return out;
+}
+
+// Production backward over the reference forward's trace.
+Matrix layer_backward(GcnLayer& layer, const CsrMatrix& a_hat,
+                      const GcnLayerTrace& trace, const Matrix& grad_output,
+                      ThreadPool* pool = nullptr,
+                      std::vector<double>* grad_a_hat = nullptr) {
+  return layer.backward(grad_output, a_hat, trace.h, trace.hw, trace.out, pool,
+                        grad_a_hat);
 }
 
 TEST(GcnLayerTest, OutputIsNonNegative) {
   Rng rng(2);
   GcnLayer layer(4, 6, rng);
-  const Matrix out = layer.forward(CsrMatrix::from_dense(random_a_hat(7, rng)),
-                                   random_matrix(7, 4, rng));
+  const Matrix out = layer_forward(
+      layer, CsrMatrix::from_dense(random_a_hat(7, rng)), random_matrix(7, 4, rng));
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_GE(out.data()[i], 0.0);
 }
 
 TEST(GcnLayerTest, IsolatedNodeRowProducesBiasOnlyOutput) {
   Rng rng(3);
   GcnLayer layer(2, 2, rng);
+  layer.parameters()[1]->value(0, 0) = -0.25;
+  layer.parameters()[1]->value(0, 1) = 0.75;
   Matrix a_hat(3, 3);          // node 2 fully masked (zero row/col)
   a_hat(0, 0) = a_hat(1, 1) = 0.5;
   a_hat(0, 1) = a_hat(1, 0) = 0.5;
   const Matrix h = random_matrix(3, 2, rng);
-  const Matrix out = layer.forward(CsrMatrix::from_dense(a_hat), h);
+  const Matrix out = layer_forward(layer, CsrMatrix::from_dense(a_hat), h);
   // Row 2: ReLU(0 + b).
   for (std::size_t c = 0; c < 2; ++c) {
     const double expected = std::max(0.0, layer.parameters()[1]->value(0, c));
@@ -79,10 +98,10 @@ TEST(GcnLayerTest, InputGradientMatchesNumeric) {
   const Matrix w = random_matrix(5, 4, rng);
 
   layer.zero_grad();
-  layer.forward(a_hat, h);
-  const Matrix analytic = layer.backward(w);
+  const Matrix analytic =
+      layer_backward(layer, a_hat, reference_gcn_forward(layer, a_hat, h), w);
   const auto result = check_gradient_against(
-      h, analytic, [&] { return scalarize(layer.infer(a_hat, h), w); });
+      h, analytic, [&] { return scalarize(layer_forward(layer, a_hat, h), w); });
   EXPECT_TRUE(result.passed(1e-5)) << result.max_rel_error;
 }
 
@@ -94,14 +113,13 @@ TEST(GcnLayerTest, WeightGradientsMatchNumeric) {
   const Matrix w = random_matrix(4, 2, rng);
 
   layer.zero_grad();
-  layer.forward(a_hat, h);
-  layer.backward(w);
+  layer_backward(layer, a_hat, reference_gcn_forward(layer, a_hat, h), w);
 
   for (Parameter* param : layer.parameters()) {
     const Matrix analytic = param->grad;
     const auto result = check_gradient_against(
         param->value, analytic,
-        [&] { return scalarize(layer.infer(a_hat, h), w); });
+        [&] { return scalarize(layer_forward(layer, a_hat, h), w); });
     EXPECT_TRUE(result.passed(1e-5))
         << param->name << " rel err " << result.max_rel_error;
   }
@@ -116,9 +134,10 @@ TEST(GcnLayerTest, AdjacencyGradientMatchesNumeric) {
 
   // Every entry stored, so the per-slot gradient covers all of A_hat.
   layer.zero_grad();
-  layer.forward(full_csr(a_hat), h);
+  const CsrMatrix a_full = full_csr(a_hat);
   std::vector<double> grad_slots(16, 0.0);
-  layer.backward(w, &grad_slots);
+  layer_backward(layer, a_full, reference_gcn_forward(layer, a_full, h), w,
+                 nullptr, &grad_slots);
   Matrix grad_a(4, 4);
   std::copy(grad_slots.begin(), grad_slots.end(), grad_a.data());
 
@@ -133,13 +152,12 @@ TEST(GcnLayerTest, GradientsAccumulate) {
   const CsrMatrix a_hat = CsrMatrix::from_dense(random_a_hat(3, rng));
   const Matrix h = random_matrix(3, 2, rng);
   const Matrix w(3, 2, 1.0);
+  const GcnLayerTrace trace = reference_gcn_forward(layer, a_hat, h);
 
   layer.zero_grad();
-  layer.forward(a_hat, h);
-  layer.backward(w);
+  layer_backward(layer, a_hat, trace, w);
   const Matrix once = layer.parameters()[0]->grad;
-  layer.forward(a_hat, h);
-  layer.backward(w);
+  layer_backward(layer, a_hat, trace, w);
   EXPECT_TRUE(approx_equal(layer.parameters()[0]->grad, once * 2.0, 1e-10));
 }
 
@@ -151,20 +169,30 @@ TEST(GcnLayerCsrTest, InferMatchesDenseReference) {
   const Matrix a_hat = random_a_hat(6, rng);
   const Matrix h = random_matrix(6, 4, rng);
   const CsrMatrix a_csr = CsrMatrix::from_dense(a_hat);
-  EXPECT_TRUE(
-      approx_equal(layer.infer(a_csr, h), dense_infer(layer, a_hat, h), 1e-12));
+  EXPECT_TRUE(approx_equal(layer_forward(layer, a_csr, h),
+                           dense_infer(layer, a_hat, h), 1e-12));
 }
 
-TEST(GcnLayerCsrTest, InferWithPoolMatchesDenseReference) {
+TEST(GcnLayerCsrTest, BackwardWithPoolIsBitIdentical) {
   Rng rng(21);
   ThreadPool pool(4);
-  GcnLayer layer(4, 5, rng);
-  const Matrix a_hat = random_a_hat(32, rng);
+  GcnLayer serial_layer(4, 5, rng);
+  Rng rng2(21);
+  GcnLayer pooled_layer(4, 5, rng2);  // identical weights (same seed)
+  const CsrMatrix a_hat = CsrMatrix::from_dense(random_a_hat(32, rng));
   const Matrix h = random_matrix(32, 4, rng);
-  const CsrMatrix a_csr = CsrMatrix::from_dense(a_hat);
-  EXPECT_EQ(layer.infer(a_csr, h, &pool), layer.infer(a_csr, h));
-  EXPECT_TRUE(approx_equal(layer.infer(a_csr, h, &pool),
-                           dense_infer(layer, a_hat, h), 1e-12));
+  const Matrix w = random_matrix(32, 5, rng);
+  const GcnLayerTrace trace = reference_gcn_forward(serial_layer, a_hat, h);
+
+  std::vector<double> grad_a_serial(a_hat.nnz(), 0.0);
+  std::vector<double> grad_a_pooled(a_hat.nnz(), 0.0);
+  EXPECT_EQ(layer_backward(serial_layer, a_hat, trace, w, nullptr, &grad_a_serial),
+            layer_backward(pooled_layer, a_hat, trace, w, &pool, &grad_a_pooled));
+  EXPECT_EQ(grad_a_serial, grad_a_pooled);
+  for (std::size_t p = 0; p < 2; ++p) {
+    EXPECT_EQ(serial_layer.parameters()[p]->grad,
+              pooled_layer.parameters()[p]->grad);
+  }
 }
 
 TEST(GcnLayerCsrTest, ForwardBackwardMatchesDensePath) {
@@ -180,13 +208,17 @@ TEST(GcnLayerCsrTest, ForwardBackwardMatchesDensePath) {
   const CsrMatrix a_csr = CsrMatrix::from_dense(a_hat);
   const CsrMatrix a_full = full_csr(a_hat);  // the dense operation sequence
 
-  EXPECT_TRUE(approx_equal(dense_layer.forward(a_full, h),
-                           csr_layer.forward(a_csr, h), 1e-12));
+  const GcnLayerTrace dense_trace = reference_gcn_forward(dense_layer, a_full, h);
+  const GcnLayerTrace csr_trace = reference_gcn_forward(csr_layer, a_csr, h);
+  EXPECT_TRUE(approx_equal(dense_trace.out, csr_trace.out, 1e-12));
+  EXPECT_TRUE(approx_equal(layer_forward(csr_layer, a_csr, h), csr_trace.out, 1e-12));
 
   std::vector<double> grad_a_dense(a_full.nnz(), 0.0);
   std::vector<double> grad_a_csr(a_csr.nnz(), 0.0);
-  const Matrix grad_h_dense = dense_layer.backward(w, &grad_a_dense);
-  const Matrix grad_h_csr = csr_layer.backward(w, &grad_a_csr);
+  const Matrix grad_h_dense =
+      layer_backward(dense_layer, a_full, dense_trace, w, nullptr, &grad_a_dense);
+  const Matrix grad_h_csr =
+      layer_backward(csr_layer, a_csr, csr_trace, w, nullptr, &grad_a_csr);
   EXPECT_TRUE(approx_equal(grad_h_dense, grad_h_csr, 1e-12));
   for (std::size_t i = 0; i < 7; ++i) {
     for (std::size_t p = a_csr.row_ptr()[i]; p < a_csr.row_ptr()[i + 1]; ++p) {
@@ -201,8 +233,8 @@ TEST(GcnLayerCsrTest, ForwardBackwardMatchesDensePath) {
 }
 
 // Gradcheck straight through the CSR-backed layer: the analytic gradients
-// of the sparse kernels against central finite differences of the sparse
-// forward itself (not just agreement with the dense path).
+// of the sparse kernels against central finite differences of the layer's
+// own row stages (not just agreement with the dense path).
 TEST(GcnLayerCsrTest, GradientsMatchNumericThroughCsrPath) {
   Rng rng(24);
   GcnLayer layer(3, 4, rng);
@@ -212,16 +244,16 @@ TEST(GcnLayerCsrTest, GradientsMatchNumericThroughCsrPath) {
   const Matrix w = random_matrix(5, 4, rng);
 
   layer.zero_grad();
-  layer.forward(a_csr, h);
-  const Matrix analytic = layer.backward(w);
+  const Matrix analytic =
+      layer_backward(layer, a_csr, reference_gcn_forward(layer, a_csr, h), w);
   const auto input_check = check_gradient_against(
-      h, analytic, [&] { return scalarize(layer.infer(a_csr, h), w); });
+      h, analytic, [&] { return scalarize(layer_forward(layer, a_csr, h), w); });
   EXPECT_TRUE(input_check.passed(1e-5)) << input_check.max_rel_error;
 
   for (Parameter* param : layer.parameters()) {
     const auto param_check = check_gradient_against(
         param->value, param->grad,
-        [&] { return scalarize(layer.infer(a_csr, h), w); });
+        [&] { return scalarize(layer_forward(layer, a_csr, h), w); });
     EXPECT_TRUE(param_check.passed(1e-5))
         << param->name << " rel err " << param_check.max_rel_error;
   }

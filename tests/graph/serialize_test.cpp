@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -61,6 +64,46 @@ TEST(AcfgSerializeTest, InvalidEdgeKindThrows) {
   bytes[16] = 7;
   std::stringstream corrupted(bytes);
   EXPECT_THROW(read_acfg(corrupted), SerializationError);
+}
+
+// Overwrites the first feature of `graph`'s archive with `value`. The
+// feature payload follows the header, the edges and the matrix's two u64
+// dimensions.
+std::string archive_with_first_feature(const Acfg& graph, double value) {
+  std::stringstream buffer;
+  write_acfg(buffer, graph);
+  std::string bytes = buffer.str();
+  const std::size_t offset = 4 + 4 + graph.num_edges() * 9 + 16;
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+  return bytes;
+}
+
+TEST(AcfgSerializeTest, WrongFeatureWidthThrows) {
+  Acfg graph(2, 3);
+  graph.set_label(0);
+  // A long family name keeps the stream above the 12-column byte count the
+  // reader checks first, so the width check itself must reject it.
+  graph.set_family(std::string(256, 'x'));
+  std::stringstream buffer;
+  write_acfg(buffer, graph);
+  EXPECT_THROW(read_acfg(buffer), SerializationError);
+}
+
+TEST(AcfgSerializeTest, NaNFeatureThrows) {
+  std::stringstream corrupted(archive_with_first_feature(
+      sample_graph(), std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_THROW(read_acfg(corrupted), SerializationError);
+}
+
+TEST(AcfgSerializeTest, InfiniteFeatureThrows) {
+  std::stringstream corrupted(archive_with_first_feature(
+      sample_graph(), std::numeric_limits<double>::infinity()));
+  EXPECT_THROW(read_acfg(corrupted), SerializationError);
+}
+
+TEST(AcfgSerializeTest, NegativeFeatureRoundTrips) {
+  std::stringstream archive(archive_with_first_feature(sample_graph(), -2.5));
+  EXPECT_EQ(read_acfg(archive).features()(0, 0), -2.5);
 }
 
 TEST(CollectionSerializeTest, RoundTrip) {

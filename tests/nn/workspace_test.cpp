@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "nn/layers.hpp"
 #include "nn/matrix.hpp"
 #include "nn/sparse.hpp"
 #include "obs/metrics.hpp"
@@ -412,30 +411,6 @@ TEST(IntoKernels, LiveRowsVariantsSkipMaskedRowsOnly) {
 TEST(IntoKernels, MatmulIntoThrowsOnShapeMismatch) {
   Matrix a(2, 3), b(4, 2), out;
   EXPECT_THROW(matmul_into(a, b, out), std::invalid_argument);
-}
-
-TEST(ModuleForwardInto, MatchesForwardForEveryHotModule) {
-  Rng rng(7);
-  Dense dense(5, 8, rng);
-  Relu relu;
-  Sigmoid sigmoid;
-  SoftmaxRows softmax;
-
-  Matrix input(4, 5);
-  Rng data_rng(11);
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    input.data()[i] = data_rng.uniform(-2.0, 2.0);
-  }
-
-  Matrix out(9, 9, 5.0);  // dirty destination
-  dense.forward_into(input, out);
-  EXPECT_TRUE(bit_identical(out, dense.forward(input)));
-  relu.forward_into(input, out);
-  EXPECT_TRUE(bit_identical(out, relu.forward(input)));
-  sigmoid.forward_into(input, out);
-  EXPECT_TRUE(bit_identical(out, sigmoid.forward(input)));
-  softmax.forward_into(input, out);
-  EXPECT_TRUE(bit_identical(out, softmax.forward(input)));
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
-// Fused-vs-unfused oracle for the row-tiled inference passes (DESIGN.md
-// decision 18).
+// Fused-vs-unfused oracle for the row-tiled passes (DESIGN.md decision 18).
 //
 // GnnClassifier::embed_into runs one combine and then one fused pass per
-// GCN layer over tiles of gathered live rows; ExplainerModel::
+// GCN layer over tiles of gathered live rows, and forward_cached runs the
+// same pass keeping each layer's rows for backward_cached; ExplainerModel::
 // score_nodes_into runs the whole Theta_s MLP on one tile of kept rows at a
-// time. Both must be BIT-identical to the per-layer paths they replaced,
-// which live here as the references:
+// time. All must be BIT-identical to the per-layer paths they replaced,
+// which are the references:
 //
 //   * embed: the scaler pass over every row; per layer H*W and the spmm
 //     aggregate on live rows only (dead rows held at +0.0), + b and the
 //     GCN clamp on live rows; a final zeroing of dead rows.
+//   * training step: the unfused layers and backward of
+//     support/gcn_reference.hpp, under both readouts.
 //   * score: pack the kept rows (non-zero rows plus the first all-zero
 //     row) scaled by 1/scale, run the Theta_s Sequential over them,
 //     scatter the scores back, copy the first zero row's score to the
@@ -41,6 +43,7 @@
 #include "nn/sparse.hpp"
 #include "nn/tiles.hpp"
 #include "obs/metrics.hpp"
+#include "support/gcn_reference.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -121,9 +124,11 @@ struct EmbedCase {
 };
 
 // A CFG-like normalized adjacency: a self loop plus up to three random
-// neighbours per row. As in MaskedNormalizedAdjacency, a dead node
+// neighbours per row, mirrored when `symmetric` (the structure the edge
+// gradient needs). As in MaskedNormalizedAdjacency, a dead node
 // (inv_sqrt == 0) keeps its structural entries at exactly 0.0.
-EmbedCase make_embed_case(Rng& rng, std::size_t n, Mask mask) {
+EmbedCase make_embed_case(Rng& rng, std::size_t n, Mask mask,
+                          bool symmetric = false) {
   EmbedCase c;
   c.inv_sqrt.resize(n);
   for (double& v : c.inv_sqrt) {
@@ -131,14 +136,20 @@ EmbedCase make_embed_case(Rng& rng, std::size_t n, Mask mask) {
                       (mask == Mask::Random && rng.bernoulli(0.7));
     v = live ? rng.uniform(0.2, 1.0) : 0.0;
   }
+  std::vector<std::vector<std::uint32_t>> rows(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rows[i].push_back(static_cast<std::uint32_t>(i));
+    for (int e = 0; e < 3; ++e) {
+      const auto j = static_cast<std::uint32_t>(rng.uniform_index(n));
+      rows[i].push_back(j);
+      if (symmetric) rows[j].push_back(static_cast<std::uint32_t>(i));
+    }
+  }
   std::vector<std::size_t> row_ptr = {0};
   std::vector<std::uint32_t> col_idx;
   std::vector<double> values;
   for (std::size_t i = 0; i < n; ++i) {
-    std::vector<std::uint32_t> cols = {static_cast<std::uint32_t>(i)};
-    for (int e = 0; e < 3; ++e) {
-      cols.push_back(static_cast<std::uint32_t>(rng.uniform_index(n)));
-    }
+    std::vector<std::uint32_t>& cols = rows[i];
     std::sort(cols.begin(), cols.end());
     cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
     for (std::uint32_t j : cols) {
@@ -159,9 +170,11 @@ EmbedCase make_embed_case(Rng& rng, std::size_t n, Mask mask) {
 
 // A classifier with a fitted scaler and non-zero biases of both signs, so
 // dead rows would carry ReLU(b) and the clamp fires on live rows.
-GnnClassifier make_classifier() {
+GnnClassifier make_classifier(ReadoutKind readout = ReadoutKind::MeanPool) {
   Rng rng(41);
-  GnnClassifier gnn(GnnConfig{}, rng);
+  GnnConfig config;
+  config.readout = readout;
+  GnnClassifier gnn(config, rng);
   for (Parameter* p : gnn.parameters()) {
     if (p->value.rows() != 1) continue;  // biases only
     for (std::size_t c = 0; c < p->value.cols(); ++c) {
@@ -259,6 +272,87 @@ TEST(FusedOracle, EmbedRejectsMismatchedShapes) {
                std::invalid_argument);
   EXPECT_THROW(gnn.embed_into(c.a_hat, c.inv_sqrt, Matrix(11, 12), out),
                std::invalid_argument);
+}
+
+// --- training ---
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// forward_cached + backward_cached against the unfused reference step:
+// logits, every parameter gradient, the edge gradient and the feature
+// gradient, bit for bit. Features come as the hostile rows above (NaN and
+// Inf included), or with every non-finite value redrawn, so most cases
+// keep finite gradients that differ wherever the arithmetic does.
+TEST(FusedOracle, TrainingStepMatchesUnfusedReferenceBitwise) {
+  ThreadPool pool(3);
+  Rng rng(20261021);
+  std::size_t finite_cases = 0;
+  for (const ReadoutKind readout : {ReadoutKind::MeanPool, ReadoutKind::SortPool}) {
+    GnnClassifier gnn = make_classifier(readout);
+    const GnnConfig& config = gnn.config();
+    std::size_t widest = config.feature_dim;
+    for (std::size_t d : config.gcn_dims) widest = std::max(widest, d);
+    const std::size_t tile = tile_rows(widest);
+    for (const std::size_t n : {std::size_t{1}, tile + 1, 2 * tile + 1,
+                                std::size_t{300}}) {
+      for (const Mask mask : {Mask::Random, Mask::AllDead, Mask::AllLive}) {
+        for (const bool non_finite : {false, true}) {
+          EmbedCase c = make_embed_case(rng, n, mask, /*symmetric=*/true);
+          if (!non_finite) {
+            for (std::size_t i = 0; i < c.features.size(); ++i) {
+              double& v = c.features.data()[i];
+              if (!std::isfinite(v)) v = rng.normal(0.5, 1.5);
+            }
+          }
+          Matrix grad_logits(1, config.num_classes);
+          for (std::size_t k = 0; k < grad_logits.size(); ++k) {
+            grad_logits.data()[k] = rng.normal();
+          }
+          for (const simd::Isa isa : host_isas()) {
+            simd::ScopedIsa scoped(isa);
+            const ReferenceStep expected = reference_training_step(
+                gnn, c.a_hat, c.inv_sqrt, c.features, grad_logits, true);
+            if (std::isfinite(expected.logits(0, 0))) ++finite_cases;
+            for (ThreadPool* kernel_pool :
+                 {static_cast<ThreadPool*>(nullptr), &pool}) {
+              SCOPED_TRACE(std::string("readout=") +
+                           (readout == ReadoutKind::MeanPool ? "mean" : "sort") +
+                           " n=" + std::to_string(n) + " mask=" +
+                           mask_name(mask) + " non_finite=" +
+                           std::to_string(non_finite) +
+                           " isa=" + simd::isa_name(isa) +
+                           " pool=" + std::to_string(kernel_pool != nullptr));
+              gnn.set_kernel_pool(kernel_pool);
+              gnn.zero_grad();
+              const Matrix logits =
+                  gnn.forward_cached(c.a_hat, c.inv_sqrt, c.features);
+              const GnnClassifier::BackwardResult result =
+                  gnn.backward_cached(grad_logits, true);
+              EXPECT_TRUE(bit_identical(logits, expected.logits));
+              const std::vector<Parameter*> params = gnn.parameters();
+              ASSERT_EQ(params.size(), expected.grads.size());
+              for (std::size_t p = 0; p < params.size(); ++p) {
+                EXPECT_TRUE(bit_identical(params[p]->grad, expected.grads[p]))
+                    << params[p]->name;
+              }
+              EXPECT_TRUE(same_bits(result.grad_adjacency,
+                                    expected.grad_adjacency));
+              EXPECT_TRUE(bit_identical(result.grad_scaled_features,
+                                        expected.grad_scaled_features));
+            }
+            gnn.set_kernel_pool(nullptr);
+          }
+        }
+      }
+    }
+  }
+  // Most finite-feature cases must reach finite logits, or the oracle
+  // would compare NaN against NaN.
+  EXPECT_GT(finite_cases, 20u);
 }
 
 // --- score ---

@@ -12,6 +12,7 @@
 #include "nn/sparse.hpp"
 #include "proptest/generators.hpp"
 #include "proptest/proptest.hpp"
+#include "support/gcn_reference.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cfgx {
@@ -92,8 +93,9 @@ TEST(KernelsOracle, CsrRoundTripIsIdentity) {
 }
 
 // Random GCN layer configuration driven through check_gradient_against: the
-// analytic input gradient of a GcnLayer stack must match central finite
-// differences of the scalarized output.
+// analytic input gradient of a GcnLayer stack (GcnLayer::backward over the
+// unfused reference forward) must match central finite differences of the
+// scalarized output.
 struct GcnStackCase {
   Matrix a_hat;     // normalized propagation matrix stand-in
   Matrix features;  // input H
@@ -156,17 +158,25 @@ TEST(KernelsOracle, GcnLayerStackGradientsMatchFiniteDifferences) {
         const CsrMatrix a_hat = CsrMatrix::from_dense(c.a_hat);
         const auto loss_of = [&]() {
           Matrix h = features;
-          for (GcnLayer& layer : layers) h = layer.forward(a_hat, h);
+          for (GcnLayer& layer : layers) {
+            h = reference_gcn_forward(layer, a_hat, h).out;
+          }
           return h.hadamard(weights).sum();
         };
 
-        // Analytic: forward once, backward the scalarization weights.
+        // Analytic: the reference forward once, then GcnLayer::backward of
+        // the scalarization weights through its traces.
         for (GcnLayer& layer : layers) layer.zero_grad();
+        std::vector<GcnLayerTrace> traces;
         Matrix h = features;
-        for (GcnLayer& layer : layers) h = layer.forward(a_hat, h);
+        for (GcnLayer& layer : layers) {
+          traces.push_back(reference_gcn_forward(layer, a_hat, h));
+          h = traces.back().out;
+        }
         Matrix grad = weights;
         for (std::size_t l = layers.size(); l-- > 0;) {
-          grad = layers[l].backward(grad);
+          grad = layers[l].backward(grad, a_hat, traces[l].h, traces[l].hw,
+                                    traces[l].out);
         }
 
         const GradCheckResult result =
